@@ -1,6 +1,6 @@
 """Design-choice ablations (DESIGN.md Section 5).
 
-Three knobs the paper exposes or discusses, measured on stand-ins:
+Two knobs the paper exposes or discusses, measured on stand-ins:
 
 * **ABMC block size** — parallelism (blocks per colour, barrier count)
   versus per-block work; the performance/parallelism trade-off of
@@ -8,8 +8,6 @@ Three knobs the paper exposes or discusses, measured on stand-ins:
   set, with a trade-off between performance and parallelism").
 * **Sweep-group strategy** — ABMC colours versus level scheduling
   (Section VII's alternative) in group counts and fused wall-clock.
-* **Compute backend** — self-contained numpy kernels versus compiled
-  scipy kernels executing the identical fused pipeline.
 """
 
 import time
@@ -54,21 +52,17 @@ def test_ablation_block_size(benchmark):
     assert max_par[0] >= max_par[-1]
 
 
-def test_ablation_strategy_and_backend(benchmark):
+def test_ablation_strategy(benchmark):
     a = standin(MATRIX, min(bench_rows(), 15_000))
     x = np.random.default_rng(5).standard_normal(a.n_rows)
     k = 5
     reference = mpk_standard(a, x, k)
 
-    configs = [
-        ("abmc", "numpy"), ("abmc", "scipy"),
-        ("levels", "numpy"), ("levels", "scipy"),
-    ]
     rows = []
     ops = {}
-    for strategy, backend in configs:
+    for strategy in ("abmc", "levels"):
         t0 = time.perf_counter()
-        op = build_fbmpk_operator(a, strategy=strategy, backend=backend)
+        op = build_fbmpk_operator(a, strategy=strategy)
         t_pre = time.perf_counter() - t0
         best = float("inf")
         for _ in range(3):
@@ -76,23 +70,21 @@ def test_ablation_strategy_and_backend(benchmark):
             y = op.power(x, k)
             best = min(best, time.perf_counter() - t0)
         assert np.allclose(y, reference, rtol=1e-8, atol=1e-10)
-        ops[(strategy, backend)] = op
-        rows.append([f"{strategy}/{backend}", op.groups.n_forward,
+        ops[strategy] = op
+        rows.append([strategy, op.groups.n_forward,
                      f"{t_pre:.2f}s", f"{best * 1e3:.1f}ms"])
     table = format_table(
-        ["strategy/backend", "fwd groups", "preprocess", "A^5x best"],
+        ["strategy", "fwd groups", "preprocess", "A^5x best"],
         rows,
-        title=f"Ablation: sweep strategy x compute backend ({MATRIX} "
-              "stand-in, this host)",
+        title=f"Ablation: sweep strategy ({MATRIX} stand-in, this host)",
     )
-    write_report("ablation_strategy_backend", table)
+    write_report("ablation_strategy", table)
 
-    # The timed region: the fastest configuration.
-    op = ops[("abmc", "scipy")]
+    # The timed region: the default configuration.
+    op = ops["abmc"]
     benchmark(lambda: op.power(x, k))
     # ABMC keeps the phase count tiny; level scheduling on banded
     # matrices degenerates towards chains (the finding that motivates
     # the paper's choice of multi-colouring over levels).
-    assert ops[("abmc", "numpy")].groups.n_forward < 100
-    assert ops[("levels", "numpy")].groups.n_forward \
-        > ops[("abmc", "numpy")].groups.n_forward
+    assert ops["abmc"].groups.n_forward < 100
+    assert ops["levels"].groups.n_forward > ops["abmc"].groups.n_forward

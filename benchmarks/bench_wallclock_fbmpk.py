@@ -74,19 +74,6 @@ def test_fbmpk_fused(benchmark, setup):
     benchmark(lambda: op.power(x, K))
 
 
-@pytest.mark.benchmark(group="mpk-k5")
-def test_fbmpk_fused_scipy_backend(benchmark, setup):
-    """Fused pipeline over compiled kernels — the fair wall-clock
-    comparison against the MKL-like baseline (same kernel provider)."""
-    from repro.core import build_fbmpk_operator
-
-    a, _, _, mkl, x = setup
-    op = build_fbmpk_operator(a, strategy="abmc", block_size=1,
-                              backend="scipy")
-    y = benchmark(lambda: op.power(x, K))
-    assert np.allclose(y, mkl.power(x, K), rtol=1e-8, atol=1e-10)
-
-
 def test_wallclock_equivalence(benchmark, setup):
     """All pipelines agree numerically on this host (timed region:
     the fused operator, once)."""

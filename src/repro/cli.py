@@ -180,7 +180,7 @@ def cmd_power(args) -> int:
         getattr(args, "pin_workers", "auto")]
     claim_chunk = getattr(args, "claim_chunk", None)
     if args.operator:
-        op = FBMPKOperator.load(args.operator, backend=args.backend)
+        op = FBMPKOperator.load(args.operator)
         n = op.n
         a = None
     else:
@@ -207,7 +207,6 @@ def cmd_power(args) -> int:
         else:
             op = build_fbmpk_operator(a, strategy=args.strategy,
                                       block_size=args.block_size,
-                                      backend=args.backend,
                                       executor=args.executor,
                                       n_threads=args.threads,
                                       assign_policy=args.policy,
@@ -474,8 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "cache-resident wavefront (--block-size sets "
                         "its rows per block)")
     p.add_argument("--block-size", type=int, default=1)
-    p.add_argument("--backend", default="numpy",
-                   choices=["numpy", "scipy"])
     p.add_argument("--executor", default="serial",
                    choices=["serial", "threads", "processes"],
                    help="run FBMPK sweeps serially, on the real "
@@ -514,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuned", action="store_true",
                    help="use the autotuned execution plan (tuning or "
                         "loading it from the plan cache as needed; "
-                        "overrides --strategy/--backend/--executor)")
+                        "overrides --strategy/--executor)")
     p.add_argument("--plan-cache-dir", default=None,
                    help="plan cache directory for --tuned (default: "
                         "$REPRO_PLAN_CACHE_DIR or ~/.cache/repro/plans)")

@@ -1,25 +1,29 @@
 """The forward-backward matrix-power kernel (FBMPK), Section III.
 
 Three implementations of ``y = A^k x`` over the ``A = L + D + U``
-partition, all bit-compatible with the standard MPK up to floating-point
-summation order:
+partition:
 
 ``fbmpk_reference``
     Literal transcription of the paper's Algorithm 2 (plus the even-k
     variant it mentions): pure-Python row loops over the BtB interleaved
-    ``xy`` buffer.  The semantic ground truth.
+    ``xy`` buffer.  The semantic ground truth, and the bitwise oracle of
+    the operator on the same row ordering.
 ``fbmpk_unfused``
     Vectorised with full-triangle numpy kernels; performs the same
-    forward/backward staging but streams each triangle twice per stage.
-    Needs no ordering information — works on any matrix as-is.
+    forward/backward staging but streams each triangle twice per stage
+    and sums rows in another order.  Needs no ordering information —
+    works on any matrix as-is.
 ``fbmpk_fused``
     The production path.  Rows are partitioned into *sweep groups* (ABMC
-    colours/waves or dependency levels) such that every in-sweep
-    dependency falls in an earlier group; each group then computes its
-    contributions to **both** live iterates with a single fused
-    two-column product (``L_g @ [x_even, x_odd]``), so each triangle is
-    streamed exactly once per stage — the paper's
-    ``(k+1)/2``-matrix-reads pipeline, realised with numpy SpMM.
+    colours or dependency levels) such that every in-sweep dependency
+    falls in an earlier group; each group then computes its
+    contributions to **both** live iterates in one pass of SciPy's
+    compiled CSR loop over the ``(n, 2)`` BtB buffer, seeded so that
+    every row is summed exactly as Algorithm 2 sums it
+    (:mod:`repro.core.kernels`).  Each triangle is streamed once per
+    stage — the paper's ``(k+1)/2``-matrix-reads pipeline — and the
+    result is bitwise equal to ``fbmpk_reference`` on the operator's
+    row ordering.
 
 :func:`build_fbmpk_operator` performs the one-off preprocessing (split,
 optional ABMC reorder, group extraction) and returns an
@@ -46,7 +50,6 @@ from ..parallel.dispatch import DescriptorBatch
 from ..parallel.procexec import ProcessPhaseExecutor
 from ..robust.validate import ensure_finite
 from ..parallel.scheduler import (
-    BlockTask,
     Phase,
     build_phases,
     phases_from_groups,
@@ -54,9 +57,6 @@ from ..parallel.scheduler import (
 from ..reorder.abmc import ABMCOrdering, abmc_ordering
 from ..reorder.levels import compute_levels, levels_to_groups
 from ..reorder.levels_blocked import (
-    OP_EVEN,
-    OP_FINAL_ODD,
-    OP_ODD,
     LevelBlocking,
     blocked_descriptors,
     build_blocked_schedule,
@@ -64,7 +64,8 @@ from ..reorder.levels_blocked import (
     check_blocked_schedule,
 )
 from ..reorder.permute import permute_symmetric, permute_vector, unpermute_vector
-from ..sparse.csr import CSRMatrix, reduce_rows
+from ..sparse.csr import CSRMatrix
+from . import kernels
 from .btb import InterleavedPair
 from .partition import TriangularPartition, split_ldu
 
@@ -354,21 +355,6 @@ def make_sweep_groups_abmc(ordering: ABMCOrdering) -> SweepGroups:
 # ---------------------------------------------------------------------------
 # fused vectorised implementation
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class _SweepPart:
-    """One group's rows plus its pre-extracted triangle submatrix.
-
-    ``apply`` performs the fused two-column product ``sub @ XY``; with
-    the scipy backend it closes over a compiled CSR handle, with the
-    numpy backend over :meth:`CSRMatrix.matmat`.
-    """
-
-    rows: np.ndarray
-    nnz: int
-    apply: Callable[[np.ndarray], np.ndarray]
-
-
-Backend = Literal["numpy", "scipy"]
 ExecutorKind = Literal["serial", "threads", "processes"]
 
 #: Valid values of ``FBMPKOperator.executor`` (the ``"processes"``
@@ -399,7 +385,7 @@ def _restore_counter(counter: Optional[KernelCounter], snap) -> None:
 
 
 def _inverse_rows(perm: np.ndarray) -> np.ndarray:
-    """Row gather that undoes ``X[perm]`` (used by the block kernels)."""
+    """Row gather that undoes ``X[perm]`` (used by ``power_block``)."""
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.shape[0], dtype=np.int64)
     return inv
@@ -415,85 +401,12 @@ def _as_float64(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _make_matmat(sub: CSRMatrix, backend: Backend) -> Callable[[np.ndarray], np.ndarray]:
-    if backend == "scipy":
-        from ..sparse.convert import to_scipy_csr
-
-        handle = to_scipy_csr(sub)
-        return lambda XY: handle @ XY
-    return sub.matmat
-
-
-def _make_matvec(tri: CSRMatrix, backend: Backend) -> Callable[[np.ndarray], np.ndarray]:
-    if backend == "scipy":
-        from ..sparse.convert import to_scipy_csr
-
-        handle = to_scipy_csr(tri)
-        return lambda x: handle @ x
-    return tri.matvec
-
-
-def _extract_parts(tri: CSRMatrix, groups: Sequence[np.ndarray],
-                   backend: Backend) -> List[_SweepPart]:
-    parts = []
-    for rows in groups:
-        if not len(rows):
-            continue
-        rows = np.asarray(rows, dtype=np.int64)
-        sub = tri.select_rows(rows)
-        parts.append(_SweepPart(rows=rows, nnz=sub.nnz,
-                                apply=_make_matmat(sub, backend)))
-    return parts
-
-
-class _BlockKernel:
-    """Per-block compute of the threaded executor (one task, one thread).
-
-    Processes a contiguous row range ``[start, stop)`` of one triangle in
-    two vectorised steps per stage.  Step 1 finishes the new iterate for
-    the whole block from values that are stable during the stage (the
-    even slots and ``tmp`` for the forward sweep, the odd slots and
-    ``tmp`` for the backward one); step 2 re-streams the block's rows
-    against the freshly written slots to leave ``tmp`` for the next
-    stage.  Intra-block dependencies are honoured because step 2 only
-    reads values written either in earlier phases (protected by the
-    colour barrier) or by step 1 of this very block, and same-colour
-    blocks share no matrix entries, so concurrently running blocks touch
-    disjoint vector elements — element-wise disjoint NumPy writes are
-    race-free.  The per-row reduction (:func:`reduce_rows`) performs the
-    same summation as the serial fused sweeps, which makes threaded and
-    serial results bit-identical.
-    """
-
-    __slots__ = ("rows", "indptr", "cols", "data", "nnz")
-
-    def __init__(self, tri: CSRMatrix, task: BlockTask) -> None:
-        start, stop = task.start, task.stop
-        lo, hi = int(tri.indptr[start]), int(tri.indptr[stop])
-        self.rows = slice(start, stop)
-        self.indptr = tri.indptr[start:stop + 1] - lo
-        self.cols = tri.indices[lo:hi]
-        self.data = tri.data[lo:hi]
-        self.nnz = hi - lo
-
-    def forward(self, XY: np.ndarray, tmp: np.ndarray,
-                d: np.ndarray) -> None:
-        """Forward-stage block update: finish the odd iterate for this
-        block and leave ``tmp = L x_odd + D x_odd`` on its rows."""
-        r = self.rows
-        new_odd = tmp[r] + d[r] * XY[r, 0] \
-            + reduce_rows(self.data * XY[self.cols, 0], self.indptr)
-        XY[r, 1] = new_odd
-        tmp[r] = reduce_rows(self.data * XY[self.cols, 1], self.indptr) \
-            + d[r] * new_odd
-
-    def backward(self, XY: np.ndarray, tmp: np.ndarray) -> None:
-        """Backward-stage block update: finish the even iterate for this
-        block and leave ``tmp = U x_even`` on its rows."""
-        r = self.rows
-        XY[r, 0] = tmp[r] \
-            + reduce_rows(self.data * XY[self.cols, 1], self.indptr)
-        tmp[r] = reduce_rows(self.data * XY[self.cols, 0], self.indptr)
+def _phase_rows(phase: Phase) -> np.ndarray:
+    """The rows of one phase's blocks, ascending."""
+    starts = np.array([t.start for t in phase.tasks], dtype=np.int64)
+    stops = np.array([t.stop for t in phase.tasks], dtype=np.int64)
+    order = np.argsort(starts, kind="stable")
+    return kernels.ranges_to_rows(starts[order], stops[order])
 
 
 @dataclass
@@ -502,17 +415,17 @@ class _ThreadedState:
 
     The phase schedule is packed once into :class:`DescriptorBatch`
     arrays (the same plan representation the process backend registers
-    in its arena); ``fw_kernels``/``bw_kernels`` are lists aligned with
-    the batch's global descriptor order, so the claim loop indexes them
-    directly.
+    in its arena); ``fw_blocks``/``bw_blocks`` hold one kernel segment
+    per descriptor, in the batch's global descriptor order, so the
+    claim loop indexes them directly.
     """
 
     fw_phases: List[Phase]
     bw_phases: List[Phase]
     fw_batch: DescriptorBatch
     bw_batch: DescriptorBatch
-    fw_kernels: List[_BlockKernel]
-    bw_kernels: List[_BlockKernel]
+    fw_blocks: List[kernels.Segment]
+    bw_blocks: List[kernels.Segment]
     pool: ThreadedPhaseExecutor
 
 
@@ -547,7 +460,7 @@ def fbmpk_fused(
     counter: Optional[KernelCounter] = None,
 ) -> np.ndarray:
     """Fused FBMPK over precomputed sweep groups (convenience wrapper that
-    extracts group submatrices on the fly; prefer
+    prepares the sweep segments on the fly; prefer
     :class:`FBMPKOperator` for repeated use)."""
     op = FBMPKOperator(part, groups)
     return op.power(x, k, on_iterate=on_iterate, counter=counter)
@@ -556,10 +469,13 @@ def fbmpk_fused(
 class FBMPKOperator:
     """Preprocessed FBMPK executor (the library's main entry point).
 
-    Holds the ``L + D + U`` partition, the sweep groups and the per-group
-    triangle submatrices extracted once at construction — the "one-off
+    Holds the ``L + D + U`` partition, the sweep groups and the serial
+    sweep segments, prepared once (the segments on first use) — the "one-off
     preprocessing whose overhead is amortised when A is reused", as the
-    paper argues in Sections III and V-F.  When built through
+    paper argues in Sections III and V-F.  The serial sweeps make one
+    compiled call per segment: per ABMC colour when the operator carries
+    its colour phases (a colour's rows are one contiguous range), per
+    sweep group otherwise.  When built through
     :func:`build_fbmpk_operator` with ABMC, the operator also owns the row
     permutation and transparently maps inputs/outputs to the original
     numbering.
@@ -576,7 +492,6 @@ class FBMPKOperator:
         groups: SweepGroups,
         perm: Optional[np.ndarray] = None,
         validate: bool = True,
-        backend: Backend = "numpy",
         executor: ExecutorKind = "serial",
         n_threads: Optional[int] = None,
         assign_policy: str = "lpt",
@@ -588,15 +503,12 @@ class FBMPKOperator:
     ) -> None:
         if validate and not check_sweep_groups(part, groups):
             raise ValueError("invalid sweep groups for this partition")
-        if backend not in ("numpy", "scipy"):
-            raise ValueError(f"unknown backend {backend!r}")
         if executor not in EXECUTOR_KINDS:
             raise ValueError(f"unknown executor {executor!r}")
         if on_failure not in ("raise", "fallback_serial"):
             raise ValueError(f"unknown on_failure policy {on_failure!r}")
         self.part = part
         self.groups = groups
-        self.backend = backend
         self.perm = None if perm is None else np.asarray(perm, dtype=np.int64)
         self.executor = executor
         self.n_threads = n_threads
@@ -646,10 +558,8 @@ class FBMPKOperator:
         self._xy_buf: Optional[np.ndarray] = None
         self._tmp_buf: Optional[np.ndarray] = None
         self._blk_buf: Optional[np.ndarray] = None
-        self._fw = _extract_parts(part.lower, groups.forward, backend)
-        self._bw = _extract_parts(part.upper, groups.backward, backend)
-        self._lower_matvec = _make_matvec(part.lower, backend)
-        self._upper_matvec = _make_matvec(part.upper, backend)
+        self._segments: Optional[Tuple[List[kernels.Segment],
+                                       List[kernels.Segment]]] = None
 
     @property
     def n(self) -> int:
@@ -669,7 +579,7 @@ class FBMPKOperator:
     ) -> "FBMPKOperator":
         """Re-point the operator at a different execution backend.
 
-        Phases and block kernels are preprocessing artefacts and are
+        Phases and sweep segments are preprocessing artefacts and are
         kept; only the worker pools are recreated, so a benchmark can
         sweep thread counts and policies over one amortised
         preprocessing pass (Section V-F).  Returns ``self`` for
@@ -735,29 +645,39 @@ class FBMPKOperator:
             self._phases_checked = True
         return fw, bw
 
+    def _serial_segments(self) -> Tuple[List[kernels.Segment],
+                                        List[kernels.Segment]]:
+        """The ``(forward, backward)`` segments of the serial sweeps,
+        built on first use: one per colour phase when the operator was
+        given its colour phases (validated then), one per sweep group
+        otherwise."""
+        if self._segments is None:
+            if self._phase_plan is not None:
+                fw_rows, bw_rows = ([_phase_rows(p) for p in phases]
+                                    for phases in self._built_phase_plan())
+            else:
+                fw_rows, bw_rows = self.groups.forward, self.groups.backward
+            self._segments = (
+                [kernels.row_set(self.part.lower, rows)
+                 for rows in fw_rows if len(rows)],
+                [kernels.row_set(self.part.upper, rows)
+                 for rows in bw_rows if len(rows)])
+        return self._segments
+
     def _ensure_threaded(self) -> _ThreadedState:
-        """Build the block phases, per-block kernels and worker pool on
+        """Build the block phases, per-block segments and worker pool on
         first threaded use (lazy so serial operators pay nothing)."""
         if self._threaded is None:
             fw, bw = self._built_phase_plan()
             fw_batch = DescriptorBatch.from_phases(fw, self.assign_policy)
             bw_batch = DescriptorBatch.from_phases(bw, self.assign_policy)
-            fw_kernels = [
-                _BlockKernel(self.part.lower,
-                             BlockTask(int(fw_batch.starts[g]),
-                                       int(fw_batch.stops[g]),
-                                       int(fw_batch.nnz[g])))
-                for g in range(fw_batch.n_blocks)]
-            bw_kernels = [
-                _BlockKernel(self.part.upper,
-                             BlockTask(int(bw_batch.starts[g]),
-                                       int(bw_batch.stops[g]),
-                                       int(bw_batch.nnz[g])))
-                for g in range(bw_batch.n_blocks)]
             self._threaded = _ThreadedState(
                 fw_phases=fw, bw_phases=bw,
                 fw_batch=fw_batch, bw_batch=bw_batch,
-                fw_kernels=fw_kernels, bw_kernels=bw_kernels,
+                fw_blocks=kernels.range_segments(
+                    self.part.lower, fw_batch.starts, fw_batch.stops),
+                bw_blocks=kernels.range_segments(
+                    self.part.upper, bw_batch.starts, bw_batch.stops),
                 pool=ThreadedPhaseExecutor(self.n_threads,
                                            self.assign_policy,
                                            hang_timeout=self.hang_timeout,
@@ -851,13 +771,14 @@ class FBMPKOperator:
         xy[1::2] = 0.0
         return InterleavedPair(xy)
 
-    def _acquire_tmp(self, head: np.ndarray) -> np.ndarray:
+    def _acquire_tmp(self, x: np.ndarray) -> np.ndarray:
         """The persistent sweep temporary, loaded with the head product
-        ``U x``.  The first call adopts the product's own allocation;
-        later calls copy into the retained buffer instead of keeping a
-        fresh array per call."""
+        ``U x`` (summed from zero).  The first call adopts the product's
+        own allocation; later calls copy into the retained buffer
+        instead of keeping a fresh array per call."""
+        head = kernels.head(self.part.upper, x[:, None])[:, 0]
         if self._tmp_buf is None:
-            self._tmp_buf = np.ascontiguousarray(head, dtype=np.float64)
+            self._tmp_buf = head
         else:
             np.copyto(self._tmp_buf, head)
         return self._tmp_buf
@@ -865,30 +786,25 @@ class FBMPKOperator:
     # -- sweeps --------------------------------------------------------
     def _forward_sweep(self, XY: np.ndarray, tmp: np.ndarray,
                        d: np.ndarray, counter: Optional[KernelCounter]) -> None:
-        """One fused forward stage: finish the odd iterate and leave
-        ``tmp = L x_odd + D x_odd``, streaming L exactly once."""
+        """One fused forward stage over the ``(n, 2m)`` interleaved
+        buffer: finish the odd iterates and leave ``tmp = L x_odd +
+        D x_odd``, streaming L exactly once (one compiled call per
+        segment)."""
         l_total = self.part.lower.nnz
-        for p in self._fw:
-            rows = p.rows
-            prod = p.apply(XY)  # [:,0] = (L x_even)[rows], [:,1] = (L x_odd)[rows]
-            new_odd = tmp[rows] + d[rows] * XY[rows, 0] + prod[:, 0]
-            XY[rows, 1] = new_odd
-            tmp[rows] = prod[:, 1] + d[rows] * new_odd
+        for seg in self._serial_segments()[0]:
+            kernels.forward(seg.tri, seg.rows, XY, tmp, d, seg.chained)
             if counter:
-                counter.count_l(p.nnz, l_total)
+                counter.count_l(seg.nnz, l_total)
 
     def _backward_sweep(self, XY: np.ndarray, tmp: np.ndarray,
                         counter: Optional[KernelCounter]) -> None:
-        """One fused backward stage: finish the even iterate and leave
+        """One fused backward stage: finish the even iterates and leave
         ``tmp = U x_even``, streaming U exactly once."""
         u_total = self.part.upper.nnz
-        for p in self._bw:
-            rows = p.rows
-            prod = p.apply(XY)  # [:,0] = (U x_even)[rows], [:,1] = (U x_odd)[rows]
-            XY[rows, 0] = tmp[rows] + prod[:, 1]
-            tmp[rows] = prod[:, 0]
+        for seg in self._serial_segments()[1]:
+            kernels.backward(seg.tri, seg.rows, XY, tmp, seg.chained)
             if counter:
-                counter.count_u(p.nnz, u_total)
+                counter.count_u(seg.nnz, u_total)
 
     # -- public API ----------------------------------------------------
     def power(
@@ -907,10 +823,11 @@ class FBMPKOperator:
         one barrier per colour); with ``executor="processes"`` they run
         on the shared-memory worker pool of
         :mod:`repro.parallel.procexec` (same phases, GIL-free).  Either
-        way the result is bit-identical to the serial backend and the
+        way the result is bit-identical to the serial executor — and to
+        :func:`fbmpk_reference` on the operator's row ordering — and the
         run's timings land in :attr:`last_stats`.  The head/tail
-        full-triangle SpMVs are plain vectorised kernels in the calling
-        process regardless of backend.
+        full-triangle products run in the calling process whatever the
+        executor.
 
         ``out``, if given, receives the result (a float64 array of
         shape ``(n,)``) instead of a fresh allocation — the repeated-
@@ -965,8 +882,7 @@ class FBMPKOperator:
             counter = KernelCounter()
         obs_snap = _snapshot_counter(counter) if telemetry else None
         with obs.span("fbmpk.power", k=k, n=self.n,
-                      executor=self.executor, backend=self.backend,
-                      origin=self.groups.origin):
+                      executor=self.executor, origin=self.groups.origin):
             if mode == "serial":
                 y = self._power_body(x, k, on_iterate, counter,
                                      check_finite, mode="serial", out=out)
@@ -1033,7 +949,7 @@ class FBMPKOperator:
         ``k >= 1`` validated by :meth:`power`.  ``mode`` is the resolved
         execution backend for this attempt (``power`` may retry a failed
         parallel attempt with ``mode="serial"``)."""
-        d = self.part.diag
+        d = self.part.diag[:, None]
         threaded = mode == "threads"
         procs = mode == "processes"
         if procs:
@@ -1043,7 +959,9 @@ class FBMPKOperator:
         pair = self._acquire_pair(x)
         XY = pair.as_matrix()
         with obs.span("fbmpk.head", sweep="head"):
-            tmp = self._acquire_tmp(self._upper_matvec(x))
+            # (n, 1) view: the kernels treat a vector as a one-column
+            # block, with the same per-row arithmetic.
+            tmp = self._acquire_tmp(x)[:, None]
         if counter:
             counter.count_u(self.part.upper.nnz, self.part.upper.nnz)
         if threaded:
@@ -1060,9 +978,11 @@ class FBMPKOperator:
             with obs.span("fbmpk.sweep", sweep="forward",
                           power_step=power + 1):
                 if threaded:
+                    fw = state.fw_blocks
                     state.pool.run_batched(
                         state.fw_batch,
-                        lambda g: state.fw_kernels[g].forward(XY, tmp, d),
+                        lambda g: kernels.forward(fw[g].tri, fw[g].rows, XY,
+                                                  tmp, d, fw[g].chained),
                         stats)
                 elif procs:
                     pstate.pool.run_batched(pstate.fw_plan, "forward",
@@ -1081,9 +1001,11 @@ class FBMPKOperator:
             with obs.span("fbmpk.sweep", sweep="backward",
                           power_step=power + 1):
                 if threaded:
+                    bw = state.bw_blocks
                     state.pool.run_batched(
                         state.bw_batch,
-                        lambda g: state.bw_kernels[g].backward(XY, tmp),
+                        lambda g: kernels.backward(bw[g].tri, bw[g].rows, XY,
+                                                   tmp, bw[g].chained),
                         stats)
                 elif procs:
                     pstate.pool.run_batched(pstate.bw_plan, "backward",
@@ -1100,9 +1022,8 @@ class FBMPKOperator:
             if on_iterate:
                 on_iterate(power, self._out(pair.even))
         if k % 2:
-            even = XY[:, 0]
             with obs.span("fbmpk.tail", sweep="tail", power_step=k):
-                y = self._lower_matvec(even) + tmp + d * even
+                y = kernels.tail(self.part.lower, XY, tmp, d)[:, 0]
             if counter:
                 counter.count_l(self.part.lower.nnz, self.part.lower.nnz)
             obs.event("fbmpk.iterate", power_step=k)
@@ -1175,7 +1096,9 @@ class FBMPKOperator:
         filters, block power iteration): all ``m`` columns advance
         through the same fused sweeps, so each triangle is still
         streamed once per stage — the matrix reads are amortised over
-        the whole block, not paid per column.
+        the whole block, not paid per column.  Each compiled call covers
+        all ``2m`` columns with the per-row order of a single vector, so
+        every column is bitwise equal to :meth:`power` on that column.
 
         The working buffer interleaves each column's even/odd iterates
         (columns ``2j``/``2j + 1``), the block generalisation of the BtB
@@ -1216,8 +1139,9 @@ class FBMPKOperator:
                 counter_saved = _snapshot_counter(counter) if fallback \
                     else None
                 try:
-                    Y, owned = self._power_block_procs(X, k, counter,
-                                                       check_finite)
+                    Y, owned = self._power_block_body(X, k, counter,
+                                                      check_finite,
+                                                      procs=True)
                 except PhaseExecutionError:
                     self.close()
                     # Same zombie-writer defence as power(): see there.
@@ -1242,105 +1166,65 @@ class FBMPKOperator:
 
     def _power_block_body(self, X: np.ndarray, k: int,
                           counter: Optional[KernelCounter],
-                          check_finite: bool
+                          check_finite: bool, procs: bool = False
                           ) -> Tuple[np.ndarray, bool]:
-        """Serial fused block sweeps over the persistent interleaved
-        buffer; returns ``(Y, owned)`` in the operator's numbering,
+        """Fused block sweeps over the persistent interleaved buffer:
+        serial, or on the process pool (``procs``) with the block buffer
+        and temporary in shared segments and only block descriptors
+        dispatched.  Returns ``(Y, owned)`` in the operator's numbering,
         ``owned=False`` meaning ``Y`` aliases the working buffer."""
         m = X.shape[1]
         d = self.part.diag[:, None]
-        if self._blk_buf is None or self._blk_buf.shape[1] != 2 * m:
-            self._blk_buf = np.zeros((self.n, 2 * m), dtype=np.float64)
-        XY = self._blk_buf
+        if procs:
+            pstate = self._ensure_procs()
+            XY, tmp = pstate.pool.ensure_block(m)
+            self._blk_buf = XY
+            stats = ExecutionStats(n_threads=pstate.pool.n_workers,
+                                   policy=pstate.pool.policy)
+            self.last_stats = stats
+        else:
+            if self._blk_buf is None or self._blk_buf.shape[1] != 2 * m:
+                self._blk_buf = np.zeros((self.n, 2 * m), dtype=np.float64)
+            XY = self._blk_buf
         XY[:, 0::2] = X
         XY[:, 1::2] = 0.0
-        tmp = self.part.upper.matmat(X)
-        if counter:
-            counter.count_u(self.part.upper.nnz, self.part.upper.nnz)
+        head = kernels.head(self.part.upper, X)
+        if procs:
+            np.copyto(tmp, head)
+        else:
+            tmp = head
         l_total = self.part.lower.nnz
         u_total = self.part.upper.nnz
+        if counter:
+            counter.count_u(u_total, u_total)
         stage = 0
         for _ in range(k // 2):
             with obs.span("fbmpk.sweep", sweep="forward",
                           power_step=stage + 1):
-                for p in self._fw:
-                    rows = p.rows
-                    prod = p.apply(XY)
-                    new_odd = tmp[rows] + d[rows] * XY[rows, 0::2] \
-                        + prod[:, 0::2]
-                    XY[rows, 1::2] = new_odd
-                    tmp[rows] = prod[:, 1::2] + d[rows] * new_odd
+                if procs:
+                    pstate.pool.run_batched(pstate.fw_plan, "forward_block",
+                                            stats)
                     if counter:
-                        counter.count_l(p.nnz, l_total)
+                        counter.count_l(l_total, l_total)
+                else:
+                    self._forward_sweep(XY, tmp, d, counter)
             with obs.span("fbmpk.sweep", sweep="backward",
                           power_step=stage + 2):
-                for p in self._bw:
-                    rows = p.rows
-                    prod = p.apply(XY)
-                    XY[rows, 0::2] = tmp[rows] + prod[:, 1::2]
-                    tmp[rows] = prod[:, 0::2]
+                if procs:
+                    pstate.pool.run_batched(pstate.bw_plan, "backward_block",
+                                            stats)
                     if counter:
-                        counter.count_u(p.nnz, u_total)
+                        counter.count_u(u_total, u_total)
+                else:
+                    self._backward_sweep(XY, tmp, counter)
             stage += 2
             if check_finite:
                 ensure_finite(XY, f"block iterates through A^{stage} X")
         if k % 2:
-            even = XY[:, 0::2]
             with obs.span("fbmpk.tail", sweep="tail", power_step=k):
-                Y = self.part.lower.matmat(even) + tmp + d * even
+                Y = kernels.tail(self.part.lower, XY, tmp, d)
             if counter:
                 counter.count_l(l_total, l_total)
-            if check_finite:
-                ensure_finite(Y, f"block iterate A^{k} X")
-            return Y, True
-        return XY[:, 0::2], False
-
-    def _power_block_procs(self, X: np.ndarray, k: int,
-                           counter: Optional[KernelCounter],
-                           check_finite: bool
-                           ) -> Tuple[np.ndarray, bool]:
-        """Block sweeps on the process pool: the interleaved block
-        buffer and the block temporary live in shared segments, dispatch
-        ships only block descriptors.  Same return contract as
-        :meth:`_power_block_body`."""
-        pstate = self._ensure_procs()
-        m = X.shape[1]
-        XY, tmp = pstate.pool.ensure_block(m)
-        self._blk_buf = XY
-        d = self.part.diag[:, None]
-        XY[:, 0::2] = X
-        XY[:, 1::2] = 0.0
-        np.copyto(tmp, self.part.upper.matmat(X))
-        if counter:
-            counter.count_u(self.part.upper.nnz, self.part.upper.nnz)
-        stats = ExecutionStats(n_threads=pstate.pool.n_workers,
-                               policy=pstate.pool.policy)
-        self.last_stats = stats
-        stage = 0
-        for _ in range(k // 2):
-            with obs.span("fbmpk.sweep", sweep="forward",
-                          power_step=stage + 1):
-                pstate.pool.run_batched(pstate.fw_plan, "forward_block",
-                                        stats)
-                if counter:
-                    counter.count_l(self.part.lower.nnz,
-                                    self.part.lower.nnz)
-            with obs.span("fbmpk.sweep", sweep="backward",
-                          power_step=stage + 2):
-                pstate.pool.run_batched(pstate.bw_plan, "backward_block",
-                                        stats)
-                if counter:
-                    counter.count_u(self.part.upper.nnz,
-                                    self.part.upper.nnz)
-            stage += 2
-            if check_finite:
-                ensure_finite(XY, f"block iterates through A^{stage} X")
-        if k % 2:
-            even = XY[:, 0::2]
-            with obs.span("fbmpk.tail", sweep="tail", power_step=k):
-                Y = self.part.lower.matmat(even) + tmp + d * even
-            if counter:
-                counter.count_l(self.part.lower.nnz, self.part.lower.nnz)
             if check_finite:
                 ensure_finite(Y, f"block iterate A^{k} X")
             return Y, True
@@ -1381,9 +1265,7 @@ class FBMPKOperator:
 
         The paper stresses that splitting/reordering "can often be
         performed offline when storing the matrix data" (Section IV-C);
-        this makes the offline artefact concrete.  Only the ``numpy``
-        backend's arrays are stored; :meth:`load` can rebuild either
-        backend.
+        this makes the offline artefact concrete.
         """
         groups_fw = [np.asarray(g, dtype=np.int64)
                      for g in self.groups.forward]
@@ -1412,8 +1294,7 @@ class FBMPKOperator:
         np.savez_compressed(path, **payload)
 
     @classmethod
-    def load(cls, path, backend: Backend = "numpy",
-             executor: ExecutorKind = "serial",
+    def load(cls, path, executor: ExecutorKind = "serial",
              n_threads: Optional[int] = None,
              assign_policy: str = "lpt",
              claim_chunk: Optional[int] = None,
@@ -1439,7 +1320,7 @@ class FBMPKOperator:
                 origin=bytes(z["origin"]).decode(),
             )
             perm = z["perm"] if bool(z["has_perm"]) else None
-        return cls(part, groups, perm=perm, validate=False, backend=backend,
+        return cls(part, groups, perm=perm, validate=False,
                    executor=executor, n_threads=n_threads,
                    assign_policy=assign_policy, claim_chunk=claim_chunk,
                    pin_workers=pin_workers)
@@ -1450,59 +1331,12 @@ class FBMPKOperator:
         return self.groups.n_forward + self.groups.n_backward
 
 
-class _BlockedRunKernel:
-    """Per-row-run compute of the levels-blocked schedule.
-
-    Caches the local CSR views of **both** triangles for one contiguous
-    row range; :meth:`run` applies one power's ping-pong update with the
-    association order the op tag demands.  The same kernel instance is
-    reused for every power that visits the run, so the per-descriptor
-    lists of all cached ``k`` plans share one kernel per distinct run.
-    """
-
-    __slots__ = ("rows", "lip", "lcols", "ldata", "uip", "ucols", "udata",
-                 "nnz")
-
-    def __init__(self, lower: CSRMatrix, upper: CSRMatrix,
-                 start: int, stop: int) -> None:
-        self.rows = slice(start, stop)
-        llo, lhi = int(lower.indptr[start]), int(lower.indptr[stop])
-        self.lip = lower.indptr[start:stop + 1] - llo
-        self.lcols = lower.indices[llo:lhi]
-        self.ldata = lower.data[llo:lhi]
-        ulo, uhi = int(upper.indptr[start]), int(upper.indptr[stop])
-        self.uip = upper.indptr[start:stop + 1] - ulo
-        self.ucols = upper.indices[ulo:uhi]
-        self.udata = upper.data[ulo:uhi]
-        self.nnz = (lhi - llo) + (uhi - ulo)
-
-    def run(self, XY: np.ndarray, d: np.ndarray, op: int) -> None:
-        """Same arithmetic as the ``"blocked"`` sweep of
-        :class:`repro.parallel.procexec._Views` (bit-identical by
-        construction)."""
-        r = self.rows
-        rs, ws = (1, 0) if op == OP_EVEN else (0, 1)
-        xin = XY[:, rs]
-        lsum = reduce_rows(self.ldata * xin[self.lcols], self.lip)
-        usum = reduce_rows(self.udata * xin[self.ucols], self.uip)
-        dx = d[r] * xin[r]
-        if op == OP_ODD:
-            XY[r, ws] = usum + dx + lsum
-        elif op == OP_EVEN:
-            XY[r, ws] = lsum + dx + usum
-        elif op == OP_FINAL_ODD:
-            XY[r, ws] = lsum + usum + dx
-        else:
-            raise ValueError(f"unknown blocked op {op!r}")
-
-
 @dataclass
 class _BlockedPlan:
     """One ``k``'s cached levels-blocked schedule artefacts."""
 
     batch: DescriptorBatch
     n_phases: int
-    kernels: Optional[List[_BlockedRunKernel]] = None  # lazy (serial/threads)
 
 
 @dataclass
@@ -1524,9 +1358,10 @@ class LevelsBlockedOperator:
     ``k`` powers to a block within a bounded phase window, so the
     block's matrix entries are streamed from DRAM once and reused from
     cache (:mod:`repro.reorder.levels_blocked`).  Results are
-    bit-identical to serial FBMPK with ``strategy="levels"`` because
-    every descriptor reproduces the exact per-row association order of
-    the serial stage that produces the same power.
+    bit-identical to serial FBMPK with ``strategy="levels"`` (and so to
+    :func:`fbmpk_reference` on the natural ordering) because every
+    descriptor runs :func:`repro.core.kernels.blocked`, which sums each
+    row in the order of the serial stage that produces the same power.
 
     All three executors run the same :class:`DescriptorBatch` plan:
     ``"serial"`` walks the descriptors in batch order, ``"threads"``
@@ -1542,7 +1377,6 @@ class LevelsBlockedOperator:
         part: TriangularPartition,
         block_rows: int = 256,
         validate: bool = True,
-        backend: Backend = "numpy",
         executor: ExecutorKind = "serial",
         n_threads: Optional[int] = None,
         assign_policy: str = "lpt",
@@ -1551,8 +1385,6 @@ class LevelsBlockedOperator:
         claim_chunk: Optional[int] = None,
         pin_workers: Optional[bool] = None,
     ) -> None:
-        if backend not in ("numpy", "scipy"):
-            raise ValueError(f"unknown backend {backend!r}")
         if executor not in EXECUTOR_KINDS:
             raise ValueError(f"unknown executor {executor!r}")
         if on_failure not in ("raise", "fallback_serial"):
@@ -1563,7 +1395,6 @@ class LevelsBlockedOperator:
             raise ValueError("claim_chunk must be >= 1 (or None)")
         self.part = part
         self.block_rows = int(block_rows)
-        self.backend = backend
         self.executor = executor
         self.n_threads = n_threads
         self.assign_policy = assign_policy
@@ -1577,7 +1408,6 @@ class LevelsBlockedOperator:
         self.blocking: LevelBlocking = build_level_blocking(
             part.lower, part.upper, self.block_rows)
         self._plans: Dict[int, _BlockedPlan] = {}
-        self._run_kernels: Dict[Tuple[int, int], _BlockedRunKernel] = {}
         self._pool: Optional[ThreadedPhaseExecutor] = None
         self._procs: Optional[_ProcBlockedState] = None
         self._xy_buf: Optional[np.ndarray] = None
@@ -1611,22 +1441,14 @@ class LevelsBlockedOperator:
             self._plans[k] = plan
         return plan
 
-    def _kernels_for(self, plan: _BlockedPlan) -> List[_BlockedRunKernel]:
-        """Descriptor-aligned kernel list (serial and threads backends);
-        distinct row runs share one kernel across all powers and plans."""
-        if plan.kernels is None:
-            kernels: List[_BlockedRunKernel] = []
-            batch = plan.batch
-            for g in range(batch.n_blocks):
-                key = (int(batch.starts[g]), int(batch.stops[g]))
-                kern = self._run_kernels.get(key)
-                if kern is None:
-                    kern = _BlockedRunKernel(self.part.lower,
-                                             self.part.upper, *key)
-                    self._run_kernels[key] = kern
-                kernels.append(kern)
-            plan.kernels = kernels
-        return plan.kernels
+    def _run(self, batch: DescriptorBatch, g: int, XY: np.ndarray,
+             d: np.ndarray) -> None:
+        """Execute descriptor ``g`` of ``batch`` (serial and threads
+        executors; the process workers run the same kernel)."""
+        start, stop = int(batch.starts[g]), int(batch.stops[g])
+        kernels.blocked(kernels.row_range(self.part.lower, start, stop),
+                        kernels.row_range(self.part.upper, start, stop),
+                        slice(start, stop), XY, d, int(batch.ops[g]))
 
     # -- execution backends --------------------------------------------
     def _ensure_threaded(self) -> ThreadedPhaseExecutor:
@@ -1731,7 +1553,7 @@ class LevelsBlockedOperator:
         obs_snap = _snapshot_counter(counter) if telemetry else None
         mode = self.executor
         with obs.span("fbmpk.power", k=k, n=self.n, executor=mode,
-                      backend=self.backend, schedule="levels-blocked"):
+                      schedule="levels-blocked"):
             if mode == "serial":
                 y = self._power_body(x, k, counter, check_finite,
                                      mode="serial", out=out)
@@ -1791,25 +1613,19 @@ class LevelsBlockedOperator:
                       n_phases=plan.n_phases):
             if mode == "threads":
                 pool = self._ensure_threaded()
-                kernels = self._kernels_for(plan)
-                ops = batch.ops
                 stats = ExecutionStats(n_threads=pool.n_threads,
                                        policy=pool.policy)
                 self.last_stats = stats
-                pool.run_batched(
-                    batch,
-                    lambda g: kernels[g].run(XY, d, int(ops[g])),
-                    stats)
+                pool.run_batched(batch,
+                                 lambda g: self._run(batch, g, XY, d), stats)
             elif procs:
                 stats = ExecutionStats(n_threads=pstate.pool.n_workers,
                                        policy=pstate.pool.policy)
                 self.last_stats = stats
                 pstate.pool.run_batched(slot, "blocked", stats)
             else:
-                kernels = self._kernels_for(plan)
-                ops = batch.ops
                 for g in range(batch.n_blocks):
-                    kernels[g].run(XY, d, int(ops[g]))
+                    self._run(batch, g, XY, d)
         if counter:
             l_total = self.part.lower.nnz
             u_total = self.part.upper.nnz
@@ -1878,7 +1694,6 @@ def build_fbmpk_operator(
     strategy: Literal["abmc", "levels", "levels-blocked"] = "abmc",
     block_size: int = 1,
     blocking: Literal["consecutive", "bfs"] = "consecutive",
-    backend: Backend = "numpy",
     executor: ExecutorKind = "serial",
     n_threads: Optional[int] = None,
     assign_policy: str = "lpt",
@@ -1899,10 +1714,10 @@ def build_fbmpk_operator(
     counts rows per resident block).  ``block_size`` is otherwise the
     ABMC rows-per-block knob (1 = point multicolouring, which yields the
     coarsest vectorised groups; the paper's C implementation defaults to
-    512/1024 rows for thread-level parallelism).  ``backend`` selects the
-    compute kernels for the sweeps: ``"numpy"`` (self-contained reduceat
-    kernels) or ``"scipy"`` (compiled CSR kernels, the faster wall-clock
-    choice on this substrate).
+    512/1024 rows for thread-level parallelism).  Every schedule sums
+    each row in Algorithm 2's order on SciPy's compiled CSR loop
+    (:mod:`repro.core.kernels`), so the result is bitwise equal to
+    :func:`fbmpk_reference` on the operator's own row ordering.
 
     ``executor`` selects how sweeps run: ``"serial"`` (the fused
     single-thread pipeline), ``"threads"`` (the real colour-phase
@@ -1929,7 +1744,7 @@ def build_fbmpk_operator(
         phase_plan = (build_phases(ordering, part.lower),
                       list(reversed(build_phases(ordering, part.upper))))
         return FBMPKOperator(part, groups, perm=ordering.perm,
-                             backend=backend, executor=executor,
+                             executor=executor,
                              n_threads=n_threads,
                              assign_policy=assign_policy,
                              phase_plan=phase_plan,
@@ -1940,7 +1755,7 @@ def build_fbmpk_operator(
     if strategy == "levels":
         part = split_ldu(a)
         groups = make_sweep_groups_levels(part)
-        return FBMPKOperator(part, groups, perm=None, backend=backend,
+        return FBMPKOperator(part, groups, perm=None,
                              executor=executor, n_threads=n_threads,
                              assign_policy=assign_policy,
                              on_failure=on_failure,
@@ -1956,7 +1771,7 @@ def build_fbmpk_operator(
         part = split_ldu(a)
         return LevelsBlockedOperator(part,
                                      block_rows=max(int(block_size), 1),
-                                     backend=backend, executor=executor,
+                                     executor=executor,
                                      n_threads=n_threads,
                                      assign_policy=assign_policy,
                                      on_failure=on_failure,

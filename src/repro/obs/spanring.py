@@ -19,7 +19,7 @@ field        array  meaning
 kind         ints   :data:`KIND_EXEC` (bin execution) /
                     :data:`KIND_WAIT` (idle between phases = barrier
                     wait + dispatch latency, measured worker-side)
-phase        ints   phase index within the ``run_phases`` call
+phase        ints   phase index within the ``run_batched`` call
 color        ints   colour of the phase
 n_blocks     ints   block tasks in the worker's bin
 parent_id    ints   span id of the dispatcher's ``executor.phase`` span

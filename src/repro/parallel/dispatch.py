@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,7 +101,6 @@ class DescriptorBatch:
     phase_ptr: np.ndarray
     colors: np.ndarray
     policy: str = "lpt"
-    _phases: Tuple[Phase, ...] = field(default=(), repr=False)
     #: Optional per-descriptor update-kind tags (int64, aligned with
     #: ``starts``).  Colour-phase sweeps leave this ``None`` (the sweep
     #: name fixes the kernel); the levels-blocked schedule mixes powers
@@ -132,7 +131,6 @@ class DescriptorBatch:
             phase_ptr=np.asarray(ptr, dtype=np.int64),
             colors=np.asarray(colors, dtype=np.int64),
             policy=policy,
-            _phases=tuple(phases),
         )
 
     @property
@@ -153,12 +151,6 @@ class DescriptorBatch:
 
     def phase_color(self, pi: int) -> int:
         return int(self.colors[pi])
-
-    @property
-    def phases(self) -> Tuple[Phase, ...]:
-        """The legacy :class:`Phase` list this batch was built from
-        (kept for the serial-fallback path)."""
-        return self._phases
 
     @classmethod
     def from_op_phases(cls, phases: Sequence[Sequence[Tuple[int, int,

@@ -2,16 +2,17 @@
 
 Where :mod:`repro.parallel.simthread` *predicts* what a ``T``-thread
 execution of a phase schedule would cost, this module actually *runs*
-one: each phase's block tasks are dealt to a persistent
-:class:`concurrent.futures.ThreadPoolExecutor` using the same static
-assignment policies as the simulator (``round_robin``/``lpt``/
-``dynamic``), every worker processes its blocks back to back, and the
-phase ends with one barrier — exactly the "allocated in advance" OpenMP
-structure of the paper's parallel FBMPK.
+one: a phase's blocks, packed into a
+:class:`~repro.parallel.dispatch.DescriptorBatch` in the order of the
+simulator's assignment policies (``round_robin``/``lpt``/``dynamic``),
+are claimed in chunks by the workers of a persistent
+:class:`concurrent.futures.ThreadPoolExecutor`, and the phase ends with
+one barrier — the "allocated in advance" OpenMP structure of the
+paper's parallel FBMPK with dynamic claiming on top.
 
-Python threads are real OS threads here: the NumPy gather/reduce kernels
-that do the per-block work drop the GIL for their inner loops, so
-same-colour blocks genuinely overlap on multicore hosts.  On a single
+Python threads are real OS threads here: the compiled CSR loop that
+does the per-block work (:mod:`repro.core.kernels`) releases the GIL,
+so same-colour blocks genuinely overlap on multicore hosts.  On a single
 vCPU (or for tiny blocks, where interpreter overhead dominates) the
 executor still runs the *true* concurrent schedule — which is what the
 differential tests need in order to flush ordering and barrier bugs that
@@ -58,9 +59,10 @@ import numpy as np
 from .. import obs
 from ..robust.errors import PhaseExecutionError
 from ..robust.faults import fire_timed as _fire_fault_timed
+from ..core import kernels
 from ..sparse.csr import CSRMatrix
 from .dispatch import DescriptorBatch, ThreadCursor, default_claim_chunk
-from .scheduler import BlockTask, Phase, assign_tasks
+from .scheduler import BlockTask, Phase
 
 __all__ = [
     "PhaseRecord",
@@ -70,8 +72,6 @@ __all__ = [
     "check_phases",
     "spawn_daemon_pool",
 ]
-
-TaskRunner = Callable[[BlockTask], None]
 
 #: Batched-mode task runner: called with a *global descriptor index*
 #: into the :class:`~repro.parallel.dispatch.DescriptorBatch`.
@@ -159,23 +159,25 @@ def check_phases(tri: CSRMatrix, phases: Sequence[Phase]) -> bool:
     phases satisfy it with no intra-task dependencies at all.
     """
     n = tri.n_rows
-    phase_of = np.full(n, -1, dtype=np.int64)
-    task_of = np.full(n, -1, dtype=np.int64)
-    tid = 0
-    for pi, phase in enumerate(phases):
-        for t in phase.tasks:
-            if not (0 <= t.start <= t.stop <= n):
-                return False
-            if (phase_of[t.start:t.stop] != -1).any():
-                return False  # overlapping tasks
-            phase_of[t.start:t.stop] = pi
-            task_of[t.start:t.stop] = tid
-            tid += 1
-    if (phase_of < 0).any():
-        return False  # rows not covered
-    rows = np.repeat(np.arange(n, dtype=np.int64), tri.row_nnz())
+    starts = np.array([t.start for p in phases for t in p.tasks],
+                      dtype=np.int64)
+    stops = np.array([t.stop for p in phases for t in p.tasks],
+                     dtype=np.int64)
+    if ((starts < 0) | (starts > stops) | (stops > n)).any():
+        return False
+    lens = stops - starts
+    rows = kernels.ranges_to_rows(starts, stops)
+    if rows.shape[0] != n or np.bincount(rows, minlength=n).max(
+            initial=1) != 1:
+        return False  # overlapping tasks, or rows not covered
+    task_of = np.empty(n, dtype=np.int64)
+    task_of[rows] = np.repeat(np.arange(starts.shape[0]), lens)
+    n_tasks = [len(p.tasks) for p in phases]
+    phase_of = np.repeat(np.arange(len(phases)), n_tasks)[task_of]
+    entry_rows = np.repeat(np.arange(n, dtype=np.int64), tri.row_nnz())
     cols = tri.indices
-    ok = (phase_of[cols] < phase_of[rows]) | (task_of[cols] == task_of[rows])
+    ok = (phase_of[cols] < phase_of[entry_rows]) \
+        | (task_of[cols] == task_of[entry_rows])
     return bool(ok.all())
 
 
@@ -225,13 +227,12 @@ class ThreadedPhaseExecutor:
 
     The pool is created once and reused across sweeps and ``power``
     calls (worker spin-up is a preprocessing cost, like the paper's
-    OpenMP runtime warm-up).  Within a phase, tasks are statically
-    assigned to ``n_threads`` bins by :func:`assign_tasks`, every
-    non-empty bin becomes one pool submission, and the phase returns
-    only when all bins have finished — the barrier.
+    OpenMP runtime warm-up).  Within a phase every worker is one pool
+    submission claiming descriptor chunks from a shared cursor, and the
+    phase returns only when all workers have finished — the barrier.
 
     A worker exception aborts the run at that barrier: the remaining
-    bins are drained (no orphaned writers), the pool is shut down
+    workers are drained (no orphaned writers), the pool is shut down
     (``shutdown(wait=True)``, no leaked threads), and what happens next
     is the ``on_failure`` policy:
 
@@ -241,13 +242,13 @@ class ThreadedPhaseExecutor:
         exception is chained as ``__cause__``.
     ``"fallback_serial"``
         If the caller provided a ``reset`` callback to
-        :meth:`run_phases`, the state is rolled back and every phase is
+        :meth:`run_batched`, the state is rolled back and every phase is
         re-executed serially in the calling thread — bit-identical to a
-        clean serial run (same task order, same kernels, no concurrency).
+        clean serial run (same kernels, no concurrency).
         Without ``reset`` the executor cannot roll back caller state and
         raises exactly like ``"raise"``.
 
-    ``hang_timeout`` bounds each phase's barrier wait: if any bin has
+    ``hang_timeout`` bounds each phase's barrier wait: if any worker has
     not finished ``hang_timeout`` seconds after the barrier was entered,
     the phase fails with a :class:`PhaseExecutionError` and the pool is
     *abandoned* (``shutdown(wait=False)``) rather than joined — Python
@@ -335,154 +336,6 @@ class ThreadedPhaseExecutor:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- execution ------------------------------------------------------
-    @staticmethod
-    def _run_bin(tasks: Sequence[BlockTask], run_task: TaskRunner,
-                 busy: List[float], slot: int, phase_index: int,
-                 color: int) -> None:
-        t0 = time.perf_counter()
-        # Chaos-hook time is *not* work: injected delays are measured
-        # separately, subtracted from the bin's busy time, and booked
-        # under the faults.injected_delay_s counter, so fault-injection
-        # runs stay comparable to clean runs.
-        fault_s = 0.0
-        try:
-            for task in tasks:
-                try:
-                    fault_s += _fire_fault_timed(
-                        "executor.task", phase_index=phase_index,
-                        color=color, start=task.start,
-                        stop=task.stop, thread=slot)
-                    run_task(task)
-                except BaseException as exc:
-                    raise _TaskFailure(task, slot, exc) from exc
-        finally:
-            busy[slot] += time.perf_counter() - t0 - fault_s
-            if fault_s:
-                obs.add_counter("faults.injected_delay_s", fault_s,
-                                unit="s")
-
-    def run_serial(
-        self,
-        phases: Sequence[Phase],
-        run_task: TaskRunner,
-        stats: Optional[ExecutionStats] = None,
-    ) -> ExecutionStats:
-        """Execute ``phases`` serially in the calling thread, tasks in
-        declared order — the executor's safe mode (no pool, no chaos
-        hooks) and the reference the threaded path must be bit-identical
-        to.  Busy time accrues to bin 0."""
-        if stats is None:
-            stats = ExecutionStats(n_threads=self.n_threads,
-                                   policy=self.policy)
-        for pi, phase in enumerate(phases):
-            with obs.span("executor.phase", phase=pi, colour=phase.color,
-                          n_tasks=len(phase.tasks), nnz=phase.total_nnz,
-                          mode="serial"):
-                t0 = time.perf_counter()
-                for task in phase.tasks:
-                    run_task(task)
-                elapsed = time.perf_counter() - t0
-            stats.thread_busy_s[0] += elapsed
-            stats.barriers += 1
-            stats.phases.append(PhaseRecord(
-                color=phase.color, n_tasks=len(phase.tasks),
-                nnz=phase.total_nnz, wall_s=elapsed))
-            self._record_phase(phase, elapsed)
-        return stats
-
-    def run_phases(
-        self,
-        phases: Sequence[Phase],
-        run_task: TaskRunner,
-        stats: Optional[ExecutionStats] = None,
-        reset: Optional[Callable[[], None]] = None,
-    ) -> ExecutionStats:
-        """Execute ``phases`` in order, calling ``run_task`` once per
-        block, with a barrier after every phase.
-
-        ``stats`` may be passed to accumulate several sweeps (e.g. the
-        forward and backward stages of one ``power`` call) into a single
-        record; a fresh one is created otherwise.
-
-        ``reset`` is the rollback hook of the ``"fallback_serial"``
-        failure policy: a zero-argument callable restoring the caller's
-        state to what it was when this call started.  On a worker crash
-        the executor drains the phase, shuts the pool down, rolls the
-        stats and caller state back, and re-runs everything via
-        :meth:`run_serial`.
-        """
-        if stats is None:
-            stats = ExecutionStats(n_threads=self.n_threads,
-                                   policy=self.policy)
-        # Snapshot for the fallback path: stats must not double-count the
-        # aborted attempt.
-        snap = (len(stats.phases), stats.barriers,
-                list(stats.thread_busy_s))
-        pool = self._ensure_pool()
-        for pi, phase in enumerate(phases):
-            with obs.span("executor.phase", phase=pi, colour=phase.color,
-                          n_tasks=len(phase.tasks), nnz=phase.total_nnz,
-                          mode="threads"):
-                t0 = time.perf_counter()
-                bins = assign_tasks(phase.tasks, self.n_threads,
-                                    policy=self.policy)
-                futures = [
-                    pool.submit(self._run_bin, b, run_task,
-                                stats.thread_busy_s, i, pi, phase.color)
-                    for i, b in enumerate(bins) if b
-                ]
-                # Barrier.  Always drain *every* submitted bin, even
-                # after a failure — otherwise still-running workers
-                # would write into caller state behind our back.  With a
-                # hang_timeout the drain itself is bounded: a bin that
-                # misses it marks the phase hung and the pool is
-                # abandoned, not joined.
-                failure: Optional[BaseException] = None
-                hung = False
-                done, not_done = _futures_wait(futures,
-                                               timeout=self.hang_timeout)
-                for f in done:
-                    try:
-                        f.result()
-                    except BaseException as exc:
-                        if failure is None:
-                            failure = exc
-                if not_done:
-                    hung = True
-                    obs.add_counter("executor.hung_phases")
-                    if failure is None:
-                        failure = PhaseExecutionError(
-                            f"{len(not_done)} bin(s) still running "
-                            f"{self.hang_timeout}s after the phase "
-                            f"barrier was entered",
-                            phase_index=pi, color=phase.color)
-                elapsed = time.perf_counter() - t0
-            if failure is not None:
-                if hung:
-                    self._abandon_pool()  # joining would hang us too
-                else:
-                    self.close()  # no leaked threads, ever
-                obs.add_counter("executor.failed_phases")
-                if self.on_failure == "fallback_serial" and reset is not None:
-                    stats.phases[:] = stats.phases[:snap[0]]
-                    stats.barriers = snap[1]
-                    stats.thread_busy_s[:] = snap[2]
-                    reset()
-                    return self.run_serial(phases, run_task, stats)
-                wrapped = self._wrap_failure(failure, pi, phase)
-                if wrapped is failure:  # already typed (hang timeout)
-                    raise wrapped
-                raise wrapped from (
-                    failure.cause if isinstance(failure, _TaskFailure)
-                    else failure)
-            stats.barriers += 1
-            stats.phases.append(PhaseRecord(
-                color=phase.color, n_tasks=len(phase.tasks),
-                nnz=phase.total_nnz, wall_s=elapsed))
-            self._record_phase(phase, elapsed)
-        return stats
-
     # -- batched descriptor execution -----------------------------------
     @staticmethod
     def _run_claim_loop(batch: DescriptorBatch, cursor: ThreadCursor,
@@ -558,16 +411,15 @@ class ThreadedPhaseExecutor:
         """Execute a :class:`DescriptorBatch` with one pool submission
         per worker per phase and a barrier after every phase.
 
-        The batched counterpart of :meth:`run_phases`: instead of
-        statically binning tasks at dispatch time, every worker claims
-        descriptor chunks from a shared :class:`ThreadCursor`, so load
-        balance is dynamic and dispatch cost is ``O(n_workers)`` per
-        phase regardless of block count.  ``run_desc`` is called once
-        per global descriptor index.  Failure semantics (drain, pool
-        shutdown, ``fallback_serial`` with ``reset``, hang timeout with
-        pool abandonment) match :meth:`run_phases`; the serial rerun
-        uses :meth:`run_serial_batch`, bit-identical because per-colour
-        block results are order-independent.
+        Every worker claims descriptor chunks from a shared
+        :class:`ThreadCursor`, so load balance is dynamic and dispatch
+        cost is ``O(n_workers)`` per phase regardless of block count.
+        ``run_desc`` is called once per global descriptor index.  On
+        failure the phase is drained and the pool shut down (abandoned
+        on a hang timeout); with ``fallback_serial`` and ``reset`` the
+        whole batch re-runs through :meth:`run_serial_batch`,
+        bit-identical because per-colour block results are
+        order-independent.
         """
         if stats is None:
             stats = ExecutionStats(n_threads=self.n_threads,
@@ -634,8 +486,7 @@ class ThreadedPhaseExecutor:
                     stats.steals = snap[4]
                     reset()
                     return self.run_serial_batch(batch, run_desc, stats)
-                wrapped = self._wrap_failure(
-                    failure, pi, Phase(color=color, tasks=[]))
+                wrapped = self._wrap_failure(failure, pi, color)
                 if wrapped is failure:
                     raise wrapped
                 raise wrapped from (
@@ -661,28 +512,17 @@ class ThreadedPhaseExecutor:
         obs.observe("executor.phase_wall_s", wall_s, unit="s")
 
     @staticmethod
-    def _record_phase(phase: Phase, wall_s: float) -> None:
-        """Publish one executed phase to the active telemetry session
-        (counters + wall-time histogram); no-op when telemetry is off."""
-        if obs.current() is None:
-            return
-        obs.add_counter("executor.barriers")
-        obs.add_counter("executor.tasks", len(phase.tasks))
-        obs.add_counter("executor.phase_nnz", phase.total_nnz)
-        obs.observe("executor.phase_wall_s", wall_s, unit="s")
-
-    @staticmethod
     def _wrap_failure(failure: BaseException, phase_index: int,
-                      phase: Phase) -> PhaseExecutionError:
+                      color: int) -> PhaseExecutionError:
         """Build the typed, context-carrying error for a crashed phase."""
         if isinstance(failure, PhaseExecutionError):
             return failure
         if isinstance(failure, _TaskFailure):
             return PhaseExecutionError(
                 f"block task crashed: {failure.cause!r}",
-                phase_index=phase_index, color=phase.color,
+                phase_index=phase_index, color=color,
                 block=(failure.task.start, failure.task.stop),
                 thread=failure.slot)
         return PhaseExecutionError(
             f"phase execution failed: {failure!r}",
-            phase_index=phase_index, color=phase.color)
+            phase_index=phase_index, color=color)

@@ -1,11 +1,12 @@
 """Zero-copy shared-memory process-parallel backend for FBMPK colour phases.
 
 The threaded executor (:mod:`repro.parallel.executor`) runs the paper's
-colour-phase schedule on real OS threads, but CPython only lets those
-threads overlap where the NumPy kernels drop the GIL — for small blocks
-the interpreter serialises the schedule.  This module provides the
-backend that sidesteps the GIL entirely: a persistent pool of worker
-*processes* over :mod:`multiprocessing.shared_memory`.
+colour-phase schedule on real OS threads; the compiled CSR loop of
+:mod:`repro.core.kernels` releases the GIL, but the Python glue around
+each block call does not, so for small blocks the interpreter
+serialises the schedule.  This module provides the backend that
+sidesteps the GIL entirely: a persistent pool of worker *processes*
+over :mod:`multiprocessing.shared_memory`.
 
 The design is zero-copy by construction.  At pool construction the CSR
 triangles (``indptr``/``indices``/``data`` of L and U), the diagonal,
@@ -28,10 +29,10 @@ after draining the cursor, the last one out flips the event the
 dispatcher is waiting on.  No per-block round-trips exist anywhere on
 the hot path.  The claim order within a phase is irrelevant for
 correctness — same-colour blocks touch disjoint vector elements, so
-per-colour block results are order-independent — and the per-row
-arithmetic in the workers is the same ``reduce_rows`` reduction the
-serial and threaded paths use, so results are **bit-identical** to a
-serial run.
+per-colour block results are order-independent — and the workers call
+the same :mod:`repro.core.kernels` functions as the serial and threaded
+paths (Algorithm 2's row order on SciPy's compiled CSR loop), so results
+are **bit-identical** to a serial run.
 
 Failure containment matches :class:`ThreadedPhaseExecutor` and extends
 it with dead-worker *and hung-worker* detection: a worker exception
@@ -96,8 +97,8 @@ from ..robust.errors import PhaseExecutionError
 from ..robust.faults import active_injectors as _active_injectors
 from ..robust.faults import fire as _fire_fault
 from ..robust.faults import fire_timed as _fire_fault_timed
-from ..reorder.levels_blocked import OP_EVEN, OP_FINAL_ODD, OP_ODD
-from ..sparse.csr import reduce_rows
+from ..core import kernels
+from ..sparse.csr import CSRMatrix
 from .dispatch import (
     CTRL_CURSOR,
     CTRL_EPOCH,
@@ -252,24 +253,8 @@ class SharedArena:
 # ---------------------------------------------------------------------------
 # kernels (run identically in workers and in the serial fallback)
 # ---------------------------------------------------------------------------
-def _matmat_rows(vals: np.ndarray, cols: np.ndarray, indptr: np.ndarray,
-                 X: np.ndarray) -> np.ndarray:
-    """Row-segment SpMM mirroring :meth:`CSRMatrix.matmat` branch for
-    branch, so block sweeps stay bit-identical to the serial fused
-    pipeline's per-row sums."""
-    w = X.shape[1]
-    if w <= 4:
-        gathered = X[cols]
-        out_cols = [reduce_rows(vals * gathered[:, j], indptr)
-                    for j in range(w)]
-        if not out_cols:
-            return np.zeros((indptr.shape[0] - 1, 0), dtype=np.float64)
-        return np.stack(out_cols, axis=1)
-    return reduce_rows(vals[:, None] * X[cols], indptr)
-
-
 class _Views:
-    """Numpy views over the arena segments plus the four sweep kernels.
+    """Numpy views over the arena segments plus the sweep kernels.
 
     Built directly over the creating process's views, or re-attached in
     a worker from the picklable spec.  All kernels slice the shared
@@ -281,10 +266,18 @@ class _Views:
                  "diag", "xy", "tmp")
 
     def __init__(self, get: Callable[[str], np.ndarray]) -> None:
-        (self.l_indptr, self.l_indices, self.l_data,
-         self.u_indptr, self.u_indices, self.u_data,
-         self.diag, self.xy, self.tmp) = (get(t) for t in self.CORE_TAGS)
-        self.xy2 = self.xy.reshape(-1, 2)
+        (l_indptr, l_indices, l_data, u_indptr, u_indices, u_data,
+         diag, xy, tmp) = (get(t) for t in self.CORE_TAGS)
+        n = diag.shape[0]
+        # check=False: views over the arena, never copied or validated.
+        self.lower = CSRMatrix(l_indptr, l_indices, l_data, (n, n),
+                               check=False)
+        self.upper = CSRMatrix(u_indptr, u_indices, u_data, (n, n),
+                               check=False)
+        self.diag = diag
+        self.d2 = diag[:, None]
+        self.xy2 = xy.reshape(-1, 2)
+        self.tmp2 = tmp[:, None]
         self.xyb: Optional[np.ndarray] = None
         self.tmpb: Optional[np.ndarray] = None
 
@@ -293,73 +286,39 @@ class _Views:
         self.xyb = xyb
         self.tmpb = tmpb
 
-    # -- sweep kernels --------------------------------------------------
-    def _tri(self, lower: bool, start: int, stop: int):
-        ip = self.l_indptr if lower else self.u_indptr
-        lo, hi = int(ip[start]), int(ip[stop])
-        local = ip[start:stop + 1] - lo
-        if lower:
-            return local, self.l_indices[lo:hi], self.l_data[lo:hi]
-        return local, self.u_indices[lo:hi], self.u_data[lo:hi]
+    def chained(self, sweep: str, starts: np.ndarray,
+                stops: np.ndarray) -> np.ndarray:
+        """Per block of a plan: whether its rows depend on each other
+        under ``sweep`` (such blocks take the two-call kernel).  All
+        False for the levels-blocked sweep, whose updates read one BtB
+        slot and write the other."""
+        if sweep == "blocked":
+            return np.zeros(starts.shape[0], dtype=bool)
+        tri = self.lower if sweep.startswith("forward") else self.upper
+        return kernels.chained_ranges(tri.indptr, tri.indices, starts, stops)
 
-    def run(self, sweep: str, start: int, stop: int,
-            op: int = -1) -> None:
-        """Execute one block task (same arithmetic as the serial fused
-        sweeps and the threaded ``_BlockKernel``).  ``op`` is the
-        per-descriptor update kind of the ``"blocked"`` sweep (ignored
-        by the colour-phase sweeps, whose name fixes the kernel)."""
+    # -- sweep kernels --------------------------------------------------
+    def run(self, sweep: str, start: int, stop: int, op: int = -1,
+            chained: bool = False) -> None:
+        """Execute one block task with the :mod:`repro.core.kernels`
+        function the sweep names.  ``op`` is the per-descriptor update
+        kind of the ``"blocked"`` sweep; ``chained`` marks a block whose
+        rows depend on each other (colour-phase sweeps)."""
         r = slice(start, stop)
         if sweep == "blocked":
-            # Levels-blocked ping-pong update: odd powers read BtB slot
-            # 0 and write slot 1, even powers the reverse; the three
-            # association orders reproduce the serial FBMPK stage that
-            # produces the same power (see repro.reorder.levels_blocked).
-            XY, d = self.xy2, self.diag
-            rs, ws = (1, 0) if op == OP_EVEN else (0, 1)
-            ipl, cl, vl = self._tri(True, start, stop)
-            ipu, cu, vu = self._tri(False, start, stop)
-            xin = XY[:, rs]
-            lsum = reduce_rows(vl * xin[cl], ipl)
-            usum = reduce_rows(vu * xin[cu], ipu)
-            dx = d[r] * xin[r]
-            if op == OP_ODD:          # forward-stage order
-                XY[r, ws] = usum + dx + lsum
-            elif op == OP_EVEN:       # backward-stage order
-                XY[r, ws] = lsum + dx + usum
-            elif op == OP_FINAL_ODD:  # tail order
-                XY[r, ws] = lsum + usum + dx
-            else:
-                raise ValueError(f"unknown blocked op {op!r}")
-        elif sweep == "forward":
-            ipl, c, v = self._tri(True, start, stop)
-            XY, tmp, d = self.xy2, self.tmp, self.diag
-            new_odd = tmp[r] + d[r] * XY[r, 0] \
-                + reduce_rows(v * XY[c, 0], ipl)
-            XY[r, 1] = new_odd
-            tmp[r] = reduce_rows(v * XY[c, 1], ipl) + d[r] * new_odd
-        elif sweep == "backward":
-            ipl, c, v = self._tri(False, start, stop)
-            XY, tmp = self.xy2, self.tmp
-            XY[r, 0] = tmp[r] + reduce_rows(v * XY[c, 1], ipl)
-            tmp[r] = reduce_rows(v * XY[c, 0], ipl)
-        elif sweep == "forward_block":
-            # The odd-slot product must be gathered AFTER the new odd
-            # iterate is written: intra-block dependencies read values
-            # step 1 of this very block produced (same two-step
-            # discipline as the vector kernel above).
-            ipl, c, v = self._tri(True, start, stop)
-            XYB, TMPB, d = self.xyb, self.tmpb, self.diag
-            dcol = d[r][:, None]
-            new_odd = TMPB[r] + dcol * XYB[r, 0::2] \
-                + _matmat_rows(v, c, ipl, XYB[:, 0::2])
-            XYB[r, 1::2] = new_odd
-            TMPB[r] = _matmat_rows(v, c, ipl, XYB[:, 1::2]) \
-                + dcol * new_odd
-        elif sweep == "backward_block":
-            ipl, c, v = self._tri(False, start, stop)
-            XYB, TMPB = self.xyb, self.tmpb
-            XYB[r, 0::2] = TMPB[r] + _matmat_rows(v, c, ipl, XYB[:, 1::2])
-            TMPB[r] = _matmat_rows(v, c, ipl, XYB[:, 0::2])
+            kernels.blocked(kernels.row_range(self.lower, start, stop),
+                            kernels.row_range(self.upper, start, stop),
+                            r, self.xy2, self.diag, op)
+        elif sweep in ("forward", "forward_block"):
+            XY, tmp = (self.xy2, self.tmp2) if sweep == "forward" \
+                else (self.xyb, self.tmpb)
+            kernels.forward(kernels.row_range(self.lower, start, stop), r,
+                            XY, tmp, self.d2, chained)
+        elif sweep in ("backward", "backward_block"):
+            XY, tmp = (self.xy2, self.tmp2) if sweep == "backward" \
+                else (self.xyb, self.tmpb)
+            kernels.backward(kernels.row_range(self.upper, start, stop), r,
+                             XY, tmp, chained)
         else:  # pragma: no cover - dispatch validates sweeps
             raise ValueError(f"unknown sweep {sweep!r}")
 
@@ -436,6 +395,8 @@ def _worker_main(worker_id: int, core_spec: Dict[str, _SegmentSpec],
     blk: Optional[_AttachedSegments] = None
     plans: Dict[int, Tuple[_AttachedSegments, np.ndarray, np.ndarray,
                            Optional[np.ndarray]]] = {}
+    # (plan slot, forward?) -> chained-block flags, computed on first use
+    chained_by_plan: Dict[Tuple[int, bool], np.ndarray] = {}
 
     def bind(spec: Optional[Dict[str, _SegmentSpec]]) -> None:
         nonlocal blk
@@ -474,6 +435,11 @@ def _worker_main(worker_id: int, core_spec: Dict[str, _SegmentSpec],
             #  None (telemetry off) or (trace_id, parent_span_id).
             _, sweep, slot, pi, color, lo, hi, epoch, chunk, trace = msg
             _, starts, stops, ops = plans[slot]
+            key = (slot, sweep.startswith("forward"))
+            chained = chained_by_plan.get(key)
+            if chained is None:
+                chained = views.chained(sweep, starts, stops)
+                chained_by_plan[key] = chained
             t_mono0 = time.monotonic()
             sweep_idx = SWEEPS.index(sweep) if sweep in SWEEPS else -1
             if ring is not None and trace is not None:
@@ -506,7 +472,8 @@ def _worker_main(worker_id: int, core_spec: Dict[str, _SegmentSpec],
                                       color=color, start=start,
                                       stop=stop, worker=worker_id)
                         views.run(sweep, start, stop,
-                                  -1 if ops is None else int(ops[g]))
+                                  -1 if ops is None else int(ops[g]),
+                                  bool(chained[g]))
                         claimed += 1
                 if ring is not None and trace is not None and claimed:
                     # Written before the barrier arrival: the lock/event
@@ -587,7 +554,7 @@ class ProcessPhaseExecutor:
     on_failure:
         ``"raise"`` propagates a :class:`PhaseExecutionError`;
         ``"fallback_serial"`` (with a ``reset`` callback passed to
-        :meth:`run_phases`) rolls back and re-runs the phases in the
+        :meth:`run_batched`) rolls back and re-runs the phases in the
         calling process — bit-identical to a clean serial run.
     hang_timeout:
         Seconds a dispatched worker may go without stamping its
@@ -691,10 +658,6 @@ class ProcessPhaseExecutor:
         # row table of plan `slot` lives in arena segment f"plan{slot}".
         self._plans: Dict[int, DescriptorBatch] = {}
         self._next_plan = 0
-        # run_phases() compatibility cache: phases-list identity ->
-        # (strong ref, slot).  The strong ref keeps id() from being
-        # reused while the cache entry lives.
-        self._compat_plans: Dict[int, Tuple[object, int]] = {}
         # Phase epoch: monotonically increasing across the executor's
         # lifetime (survives pool respawns) so wdone stamps from a
         # previous pool can never satisfy the current phase's scan.
@@ -864,7 +827,6 @@ class ProcessPhaseExecutor:
             self._ring_reader = None
             self._blk_m = None
             self._plans.clear()
-            self._compat_plans.clear()
             self.arena.close()
 
     def __enter__(self) -> "ProcessPhaseExecutor":
@@ -874,12 +836,12 @@ class ProcessPhaseExecutor:
         self.close()
 
     # -- execution ------------------------------------------------------
-    def run_serial(self, phases: Sequence[Phase], sweep: str,
-                   stats: Optional[ExecutionStats] = None
-                   ) -> ExecutionStats:
-        """Execute ``phases`` in the calling process, tasks in declared
-        order, over the same shared buffers — the reference the
-        dispatched path must be bit-identical to, and the
+    def run_serial_batch(self, batch: DescriptorBatch, sweep: str,
+                         stats: Optional[ExecutionStats] = None
+                         ) -> ExecutionStats:
+        """Execute a descriptor batch in the calling process, descriptors
+        in batch order, over the same shared buffers and kernels — the
+        reference the dispatched path must be bit-identical to, and the
         ``fallback_serial`` target.  Busy time accrues to bin 0."""
         if sweep not in SWEEPS:
             raise ValueError(f"unknown sweep {sweep!r}")
@@ -887,33 +849,8 @@ class ProcessPhaseExecutor:
             stats = ExecutionStats(n_threads=self.n_workers,
                                    policy=self.policy)
         views = self._views
-        for pi, phase in enumerate(phases):
-            with obs.span("executor.phase", phase=pi, colour=phase.color,
-                          n_tasks=len(phase.tasks), nnz=phase.total_nnz,
-                          mode="serial"):
-                t0 = time.perf_counter()
-                for task in phase.tasks:
-                    views.run(sweep, task.start, task.stop)
-                elapsed = time.perf_counter() - t0
-            stats.thread_busy_s[0] += elapsed
-            self._finish_phase(stats, phase.color, len(phase.tasks),
-                               phase.total_nnz, elapsed)
-        return stats
-
-    def run_serial_batch(self, batch: DescriptorBatch, sweep: str,
-                         stats: Optional[ExecutionStats] = None
-                         ) -> ExecutionStats:
-        """Execute a descriptor batch in the calling process, descriptors
-        in batch order, forwarding per-descriptor op tags — the
-        reference (and ``fallback_serial`` target) for plans whose
-        legacy ``Phase`` list is absent, e.g. levels-blocked batches."""
-        if sweep not in SWEEPS:
-            raise ValueError(f"unknown sweep {sweep!r}")
-        if stats is None:
-            stats = ExecutionStats(n_threads=self.n_workers,
-                                   policy=self.policy)
-        views = self._views
         ops = batch.ops
+        chained = views.chained(sweep, batch.starts, batch.stops)
         for pi in range(batch.n_phases):
             lo, hi = batch.phase_range(pi)
             color = batch.phase_color(pi)
@@ -924,7 +861,8 @@ class ProcessPhaseExecutor:
                 for g in range(lo, hi):
                     views.run(sweep, int(batch.starts[g]),
                               int(batch.stops[g]),
-                              -1 if ops is None else int(ops[g]))
+                              -1 if ops is None else int(ops[g]),
+                              bool(chained[g]))
                 elapsed = time.perf_counter() - t0
             stats.thread_busy_s[0] += elapsed
             self._finish_phase(stats, color, hi - lo, nnz, elapsed)
@@ -952,33 +890,6 @@ class ProcessPhaseExecutor:
                 q.put(("plan", slot, spec))
         return slot
 
-    def _slot_for(self, phases: Sequence[Phase]) -> int:
-        """Plan slot for a phases list, registering on first sight.
-        Keyed by list identity with a strong reference held, so repeated
-        sweeps over the same schedule (the FBMPK hot loop) register
-        exactly once and id() reuse cannot alias."""
-        key = id(phases)
-        hit = self._compat_plans.get(key)
-        if hit is not None and hit[0] is phases:
-            return hit[1]
-        slot = self.register_phases(phases)
-        if len(self._compat_plans) >= 8:
-            self._compat_plans.clear()
-        self._compat_plans[key] = (phases, slot)
-        return slot
-
-    def run_phases(self, phases: Sequence[Phase], sweep: str,
-                   stats: Optional[ExecutionStats] = None,
-                   reset: Optional[Callable[[], None]] = None
-                   ) -> ExecutionStats:
-        """Execute ``phases`` on the worker pool (compatibility entry
-        point: registers the schedule as a descriptor plan on first
-        sight, then runs the batched path)."""
-        if sweep not in SWEEPS:
-            raise ValueError(f"unknown sweep {sweep!r}")
-        return self.run_batched(self._slot_for(phases), sweep,
-                                stats=stats, reset=reset)
-
     def run_batched(self, plan: int, sweep: str,
                     stats: Optional[ExecutionStats] = None,
                     reset: Optional[Callable[[], None]] = None
@@ -992,8 +903,8 @@ class ProcessPhaseExecutor:
         "fallback_serial"``: on any failure (worker exception, injected
         dispatch fault, a killed worker, or a poisoned claim lock) the
         barrier is compensated closed, the pool is torn down, ``reset``
-        restores the shared buffers, and :meth:`run_serial` re-runs
-        everything in-process.
+        restores the shared buffers, and :meth:`run_serial_batch`
+        re-runs everything in-process.
         """
         if sweep not in SWEEPS:
             raise ValueError(f"unknown sweep {sweep!r}")
@@ -1033,9 +944,7 @@ class ProcessPhaseExecutor:
                     stats.enqueues = snap[3]
                     stats.steals = snap[4]
                     reset()
-                    if batch.ops is not None or not batch.phases:
-                        return self.run_serial_batch(batch, sweep, stats)
-                    return self.run_serial(batch.phases, sweep, stats)
+                    return self.run_serial_batch(batch, sweep, stats)
                 raise failure
             self._finish_phase(stats, color, hi - lo, nnz, elapsed)
         self._drain_spans()

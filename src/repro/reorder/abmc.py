@@ -27,6 +27,7 @@ Two blocking strategies are provided:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import List, Literal
@@ -91,11 +92,9 @@ class ABMCOrdering:
         sorted by colour first, so the ranges of one colour are a
         contiguous run of this list.
         """
-        return [
-            (start, stop)
-            for start, stop in self.block_ranges
-            if self.color_of_block[self.block_of[start]] == color
-        ]
+        start, stop = self.color_ranges[color]
+        return self.block_ranges[bisect_left(self.block_ranges, (start,)):
+                                 bisect_left(self.block_ranges, (stop,))]
 
     def max_parallel_blocks(self) -> int:
         """Largest number of blocks sharing one colour — the available

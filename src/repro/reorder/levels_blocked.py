@@ -33,12 +33,13 @@ violate the inequality in one direction), and same-power blocks write
 disjoint rows of one slot while reading the other — race-free without
 any intra-phase ordering.
 
-Bit-identity with serial FBMPK (``strategy="levels"``): per-row sums
-are CSR-segment reductions whose result is invariant under row-range
-slicing, and each op reproduces the exact association order of the
-serial pipeline's stage that produces that power — ``(u + dx) + l`` for
-odd intermediates (forward stage), ``(l + dx) + u`` for even powers
-(backward stage), ``(l + u) + dx`` for a final odd power (tail).
+Bit-identity with serial FBMPK (``strategy="levels"``): every row is
+summed left to right in CSR order (:func:`repro.core.kernels.blocked`),
+which no row-range slicing changes, and each op reproduces the serial
+stage that produces that power — ``u + dx`` seeds the ``L`` sum for odd
+intermediates (forward stage), ``l + dx`` seeds the ``U`` sum for even
+powers (backward stage), and ``(l + u) + dx`` forms a final odd power
+(tail).
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ __all__ = [
 #: plan table).  Each fixes both the BtB slots (odd powers read slot 0,
 #: write slot 1; even powers the reverse) and the serial association
 #: order of the three per-row partial sums.
-OP_ODD = 0        #: odd intermediate power:  y = (u + d*x) + l
-OP_EVEN = 1       #: even power:              y = (l + d*x) + u
+OP_ODD = 0        #: odd intermediate power:  u + d*x seeds the L sum
+OP_EVEN = 1       #: even power:              l + d*x seeds the U sum
 OP_FINAL_ODD = 2  #: final odd power (p = k): y = (l + u) + d*x
 
 

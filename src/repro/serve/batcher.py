@@ -8,14 +8,16 @@ triangle of A is streamed once per stage *for the whole batch*, so the
 paper's ``(k+1)/2`` traffic win is multiplied again by the batch width.
 The block result is then de-interleaved back to the individual callers.
 
-Bit-identity: on the ``numpy`` backend every ``power_block`` column is
-computed with exactly the per-vector ``power`` arithmetic (same
-``reduce_rows`` accumulation per row, column count changes nothing), so
-a batched client receives *the identical bits* an unbatched serial call
-would have produced — the differential suite in ``tests/property``
-proves it across dtypes, k values and executors.  Entries that cannot
-make that guarantee (``can_batch`` False) are served per-request inside
-the same queue machinery instead.
+Bit-identity: every ``power_block`` column is computed with exactly the
+per-vector ``power`` arithmetic — each compiled sweep call sums every
+column of a row in Algorithm 2's order, left to right onto the same
+seed, so the column count changes nothing (:mod:`repro.core.kernels`).
+A batched client therefore receives *the identical bits* an unbatched
+serial call would have produced; the differential suite in
+``tests/property`` proves it across dtypes, k values and executors.
+Entries without ``power_block`` (``can_batch`` False: levels-blocked and
+unfused operators) are served per-request inside the same queue
+machinery instead.
 
 Aliasing contract: responses are handed out as **owned copies**
 (:func:`split_block`), never as views of the shared gather buffer or of

@@ -70,16 +70,14 @@ class ResidentOperator:
         """Whether stacked ``power_block`` sweeps are bitwise-identical
         to per-request ``power`` calls on this operator.
 
-        True for every :class:`FBMPKOperator` on the ``numpy`` backend
-        (its ``matmat`` accumulates each output column in exactly the
-        ``matvec`` order, and the differential suite proves it per
-        executor).  The ``scipy`` backend's compiled kernels do not make
-        that guarantee, and non-FBMPK operators (the unfused tuning
-        adapter) have no ``power_block`` at all — those entries are
-        served per-request instead of batched.
+        True for every :class:`FBMPKOperator`: each compiled sweep call
+        sums every one of its ``2m`` columns in the row order of a
+        single vector (:mod:`repro.core.kernels`), and the differential
+        suite proves it per executor.  Other operators (the
+        levels-blocked and unfused ones) have no ``power_block`` at all
+        — those entries are served per-request instead of batched.
         """
-        return isinstance(self.op, FBMPKOperator) \
-            and getattr(self.op, "backend", None) == "numpy"
+        return isinstance(self.op, FBMPKOperator)
 
     def _close_op(self) -> None:
         if not self.closed:
@@ -227,7 +225,7 @@ class OperatorRegistry:
             else:
                 op = build_fbmpk_operator(
                     a, strategy=cfg.strategy, block_size=cfg.block_size,
-                    backend="numpy", executor=cfg.executor,
+                    executor=cfg.executor,
                     n_threads=cfg.n_workers, on_failure=cfg.on_failure,
                     hang_timeout=cfg.hang_timeout_s)
                 source = "build"

@@ -57,7 +57,10 @@ __all__ = [
 
 #: Version of the on-disk entry envelope (independent of the plan
 #: schema: the envelope carries bookkeeping the plan does not).
-CACHE_SCHEMA_VERSION = 1
+#: Version 2: power plans no longer carry a ``backend`` knob, and every
+#: fused plan sums rows in Algorithm 2's order, so a version-1 entry
+#: (timed under the old kernels) loads as a miss and is re-tuned.
+CACHE_SCHEMA_VERSION = 2
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV_VAR = "REPRO_PLAN_CACHE_DIR"

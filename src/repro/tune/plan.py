@@ -2,7 +2,7 @@
 
 An :class:`ExecutionPlan` names one concrete way to execute a workload
 with the library's existing building blocks — which FBMPK variant,
-sweep-grouping strategy, compute backend and executor to use for an
+sweep-grouping strategy and executor to use for an
 ``A^k x`` pipeline, or which kernel/format to use for a single SpMV.
 Plans are deliberately *descriptions*, not objects holding state: they
 can be enumerated (:mod:`repro.tune.registry`), timed
@@ -58,8 +58,8 @@ class ExecutionPlan:
     a plan back into runnable objects.  Examples::
 
         ExecutionPlan("power", {"variant": "fused", "strategy": "abmc",
-                                "block_size": 1, "backend": "scipy",
-                                "executor": "serial"})
+                                "block_size": 1, "executor": "threads",
+                                "n_threads": 2})
         ExecutionPlan("spmv", {"kernel": "sell", "c": 8, "sigma": 64})
     """
 
@@ -73,7 +73,7 @@ class ExecutionPlan:
     @property
     def label(self) -> str:
         """Compact human-readable identity, e.g.
-        ``power/fused-abmc-b1-scipy-serial`` — used in telemetry span
+        ``power/1-serial-abmc-fused`` — used in telemetry span
         attributes, trial tables and log lines."""
         parts = [str(self.params[key]) for key in sorted(self.params)
                  if self.params[key] is not None]
@@ -121,7 +121,6 @@ def default_power_plan() -> ExecutionPlan:
         "variant": "fused",
         "strategy": "abmc",
         "block_size": 1,
-        "backend": "numpy",
         "executor": "serial",
     })
 

@@ -14,9 +14,10 @@ Two candidate spaces exist, matching :data:`repro.tune.plan.PLAN_KINDS`:
   staging with BtB off), ``strategy``
   (``"abmc"``/``"levels"``/``"levels-blocked"``), ``block_size``
   (ABMC rows per block; for ``levels-blocked`` the cache-residency
-  block row count), ``backend``
-  (``"numpy"``/``"scipy"`` sweep kernels), ``executor``
+  block row count), ``executor``
   (``"serial"``/``"threads"``/``"processes"``) and ``n_threads``.
+  Every fused plan sums rows in Algorithm 2's order on one compiled
+  kernel (:mod:`repro.core.kernels`), so there is no kernel knob.
 * ``spmv`` — one sparse matrix-vector product.  Knobs: ``kernel``
   (:data:`repro.sparse.spmv.KERNELS` plus the ``sell`` and ``bsr``
   format conversions) and the kernel's own parameters.
@@ -26,8 +27,9 @@ relies on that to guarantee the default is measured (so "tuned is never
 worse than default" is decided empirically, not assumed).  Candidates
 are *proposals* — some may not even be constructible for a given matrix
 (e.g. BSR needs divisible dimensions) and some are not bit-identical to
-the default path (the unfused variant, SELL/BSR's different summation
-orders); the autotuner rejects those at measurement time.
+the default path (the unfused variant and any other row ordering for
+power plans, SELL/BSR's different summation orders for SpMV); the
+autotuner rejects those at measurement time.
 """
 
 from __future__ import annotations
@@ -74,9 +76,9 @@ _SPMV_KERNELS_BY_DESIGN = frozenset({"vectorised", "blocked"})
 #: change the work-stealing claim granularity and worker placement of
 #: the batched dispatch path (per-colour block results are
 #: order-independent).
-#: Everything else — variant, backend, and notably ``strategy`` /
-#: ``block_size``, whose grouping permutes the matrix and therefore the
-#: per-row accumulation order — changes the floating-point arithmetic.
+#: Everything else — variant, and notably ``strategy`` / ``block_size``,
+#: whose grouping permutes the matrix and therefore the per-row
+#: accumulation order — changes the floating-point arithmetic.
 _POWER_EXECUTION_ONLY_KEYS = frozenset(
     {"executor", "n_threads", "assign_policy", "claim_chunk",
      "pin_workers"})
@@ -179,45 +181,38 @@ def power_candidates(
     plans = [default]
     # levels-blocked block sizes bracket the residency regime: 256 rows
     # keeps the (2k-1)-block wavefront window inside L2-sized caches,
-    # 4096 inside the shared LLC.  The scipy backend is omitted for
-    # levels-blocked: its blocked sweep kernel is backend-independent.
+    # 4096 inside the shared LLC.
     strategies = [("abmc", 1), ("abmc", 256), ("levels", 1),
                   ("levels-blocked", 256), ("levels-blocked", 4096)]
     for strategy, block_size in strategies:
-        backends = ("numpy",) if strategy == "levels-blocked" \
-            else ("numpy", "scipy")
-        for backend in backends:
-            fused = ExecutionPlan("power", {
-                "variant": "fused",
-                "strategy": strategy,
-                "block_size": block_size,
-                "backend": backend,
-                "executor": "serial",
-            })
-            if fused != default:
-                plans.append(fused)
-            for parallel_exec in ("threads", "processes"):
-                chunks = _CLAIM_CHUNKS if parallel_exec == "processes" \
-                    else (None,)
-                for n_threads in thread_counts:
-                    for chunk in chunks:
-                        params = {
-                            "variant": "fused",
-                            "strategy": strategy,
-                            "block_size": block_size,
-                            "backend": backend,
-                            "executor": parallel_exec,
-                            "n_threads": int(n_threads),
-                        }
-                        if chunk is not None:
-                            params["claim_chunk"] = int(chunk)
-                        plans.append(ExecutionPlan("power", params))
+        fused = ExecutionPlan("power", {
+            "variant": "fused",
+            "strategy": strategy,
+            "block_size": block_size,
+            "executor": "serial",
+        })
+        if fused != default:
+            plans.append(fused)
+        for parallel_exec in ("threads", "processes"):
+            chunks = _CLAIM_CHUNKS if parallel_exec == "processes" \
+                else (None,)
+            for n_threads in thread_counts:
+                for chunk in chunks:
+                    params = {
+                        "variant": "fused",
+                        "strategy": strategy,
+                        "block_size": block_size,
+                        "executor": parallel_exec,
+                        "n_threads": int(n_threads),
+                    }
+                    if chunk is not None:
+                        params["claim_chunk"] = int(chunk)
+                    plans.append(ExecutionPlan("power", params))
     if include_unfused:
         plans.append(ExecutionPlan("power", {
             "variant": "unfused",
             "strategy": "none",
             "block_size": 1,
-            "backend": "numpy",
             "executor": "serial",
         }))
     return plans
@@ -298,7 +293,6 @@ def instantiate_power(
         return UnfusedPowerOperator(split_ldu(a))
     if variant != "fused":
         raise PlanFormatError(f"unknown power variant {variant!r}")
-    backend = params.get("backend", "numpy")
     executor = params.get("executor", "serial")
     n_threads = params.get("n_threads")
     assign_policy = params.get("assign_policy", "lpt")
@@ -314,7 +308,7 @@ def instantiate_power(
             and params.get("strategy") != "levels-blocked":
         try:
             return FBMPKOperator.load(
-                operator_path, backend=backend, executor=executor,
+                operator_path, executor=executor,
                 n_threads=n_threads, assign_policy=assign_policy,
                 claim_chunk=claim_chunk, pin_workers=pin_workers)
         except Exception:
@@ -323,7 +317,6 @@ def instantiate_power(
         a,
         strategy=params.get("strategy", "abmc"),
         block_size=int(params.get("block_size", 1)),
-        backend=backend,
         executor=executor,
         n_threads=n_threads,
         assign_policy=assign_policy,

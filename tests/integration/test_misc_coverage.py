@@ -74,9 +74,14 @@ class TestCliExtras:
         assert "checksum" in capsys.readouterr().out
 
     def test_power_scipy_backend(self, capsys):
+        """``power`` runs its sweeps on SciPy's compiled CSR loop; there
+        is no ``--backend`` option to choose another kernel."""
         assert cli_main(["power", "--standin", "pwtk", "--rows", "600",
-                         "-k", "3", "--backend", "scipy"]) == 0
+                         "-k", "3"]) == 0
         assert "L x2, U x2" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli_main(["power", "--standin", "pwtk", "--rows", "600",
+                      "-k", "3", "--backend", "scipy"])
 
     def test_reorder_standin_rcm(self, tmp_path, capsys):
         out = str(tmp_path / "r.mtx")

@@ -9,30 +9,37 @@ import contextlib
 import numpy as np
 
 from repro.obs import Telemetry
-from repro.parallel import BlockTask, Phase, ThreadedPhaseExecutor
+from repro.parallel import (
+    BlockTask,
+    DescriptorBatch,
+    Phase,
+    ThreadedPhaseExecutor,
+)
 from repro.robust import DelayFault, FaultInjector
 
 DELAY = 0.05
 
 
-def _phases(n_blocks=4, width=8):
+def _batch(n_blocks=4, width=8):
     tasks = [BlockTask(i * width, (i + 1) * width, width)
              for i in range(n_blocks)]
-    return [Phase(color=0, tasks=tasks)]
+    return DescriptorBatch.from_phases([Phase(color=0, tasks=tasks)])
 
 
 def _run(with_delay):
     y = np.zeros(32)
+    batch = _batch()
 
-    def run(task):
-        y[task.start:task.stop] = task.start
+    def run(g):
+        start, stop = int(batch.starts[g]), int(batch.stops[g])
+        y[start:stop] = start
 
     # No active injector at all on the clean run: with nobody listening,
     # fire_timed must not even touch the clock (or the counter).
     inj = (FaultInjector().install("executor.task", DelayFault(DELAY))
            if with_delay else contextlib.nullcontext())
     with Telemetry() as tel, inj, ThreadedPhaseExecutor(n_threads=1) as ex:
-        stats = ex.run_phases(_phases(), run)
+        stats = ex.run_batched(batch, run)
     return y, stats, tel
 
 

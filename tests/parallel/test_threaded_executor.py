@@ -19,6 +19,7 @@ from repro.core.partition import split_ldu
 from repro.matrices import banded_random, poisson2d
 from repro.parallel import (
     BlockTask,
+    DescriptorBatch,
     Phase,
     ThreadedPhaseExecutor,
     check_phases,
@@ -267,14 +268,15 @@ class TestLifecycle:
         np.testing.assert_array_equal(y, serial_results["sym", 5])
 
     def test_worker_exception_propagates(self):
-        phases = [Phase(color=0, tasks=[BlockTask(0, 4, 7)])]
+        batch = DescriptorBatch.from_phases(
+            [Phase(color=0, tasks=[BlockTask(0, 4, 7)])])
 
-        def boom(task):
+        def boom(g):
             raise RuntimeError("kernel exploded")
 
         with ThreadedPhaseExecutor(n_threads=2) as ex:
             with pytest.raises(RuntimeError, match="kernel exploded"):
-                ex.run_phases(phases, boom)
+                ex.run_batched(batch, boom)
 
     def test_executor_rejects_bad_thread_count(self):
         with pytest.raises(ValueError, match="n_threads"):

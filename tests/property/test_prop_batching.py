@@ -5,10 +5,10 @@ dtypes, k values, batch widths and all three executors.  This is the
 property that lets the solve service batch concurrent tenants' requests
 without changing a single bit of anyone's answer.
 
-Restricted to the ``numpy`` backend: that is exactly the set of
-operators the service batches (``ResidentOperator.can_batch``), and
-the tuner's bit-identical-by-design gate guarantees every tuned
-serving plan lands in it.
+The oracle is Algorithm 2 itself (``fbmpk_reference``) on the operator's
+own row ordering: every batched column must equal it bit for bit, for
+ABMC at block sizes 1 and 256, levels, and (for ``power``)
+levels-blocked, at odd and even k, on every executor.
 """
 
 import numpy as np
@@ -20,15 +20,20 @@ from repro.core.fbmpk import build_fbmpk_operator
 from repro.matrices.generators import banded_random, poisson2d
 from repro.sparse import CSRMatrix
 
+from ..oracle import reference_power
+
 EXECUTORS = ["serial", "threads", "processes"]
 K_VALUES = [0, 1, 2, 3, 5, 8]
+#: (strategy, block_size) of every schedule family.
+SCHEDULES = [("abmc", 1), ("abmc", 256), ("levels", 1)]
 
 
 def _block_matches_per_vector(op, X, k):
     Y = op.power_block(X.copy(), k)
     for j in range(X.shape[1]):
         y = op.power(X[:, j].copy(), k)
-        if not np.array_equal(Y[:, j], y):
+        if not np.array_equal(Y[:, j], y) \
+                or not np.array_equal(y, reference_power(op, X[:, j], k)):
             return False, j
     return True, None
 
@@ -44,8 +49,7 @@ def mat():
 @pytest.mark.parametrize("k", K_VALUES)
 def test_block_bitwise_identical_per_executor(mat, executor, k):
     kwargs = {"n_threads": 2} if executor != "serial" else {}
-    op = build_fbmpk_operator(mat, backend="numpy", executor=executor,
-                              **kwargs)
+    op = build_fbmpk_operator(mat, executor=executor, **kwargs)
     try:
         rng = np.random.default_rng(k)
         X = rng.standard_normal((mat.n_rows, 5))
@@ -60,7 +64,7 @@ def test_block_bitwise_identical_per_executor(mat, executor, k):
 @pytest.mark.parametrize("width", [1, 2, 3, 7])
 def test_block_bitwise_identical_per_strategy_and_width(strategy, width):
     a = poisson2d(7, seed=2)
-    op = build_fbmpk_operator(a, strategy=strategy, backend="numpy")
+    op = build_fbmpk_operator(a, strategy=strategy)
     try:
         X = np.random.default_rng(width).standard_normal(
             (a.n_rows, width))
@@ -70,12 +74,63 @@ def test_block_bitwise_identical_per_strategy_and_width(strategy, width):
         op.close()
 
 
+# -- every schedule family against Algorithm 2 ------------------------------
+@pytest.fixture(scope="module")
+def grid24():
+    """576 rows: three ABMC blocks at block size 256."""
+    return poisson2d(24, seed=5)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("schedule", SCHEDULES,
+                         ids=[f"{s}-b{b}" for s, b in SCHEDULES])
+@pytest.mark.parametrize("k", [3, 4])
+def test_block_matches_reference_per_schedule(grid24, executor, schedule,
+                                              k):
+    strategy, block_size = schedule
+    kwargs = {"n_threads": 2} if executor != "serial" else {}
+    op = build_fbmpk_operator(grid24, strategy=strategy,
+                              block_size=block_size, executor=executor,
+                              **kwargs)
+    try:
+        X = np.random.default_rng(k).standard_normal((grid24.n_rows, 3))
+        ok, col = _block_matches_per_vector(op, X, k)
+        assert ok, f"column {col} differs ({schedule}, {executor})"
+    finally:
+        op.close()
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_block_widths_match_reference(grid24, width):
+    op = build_fbmpk_operator(grid24)
+    try:
+        X = np.random.default_rng(width).standard_normal(
+            (grid24.n_rows, width))
+        ok, col = _block_matches_per_vector(op, X, 5)
+        assert ok, f"column {col} differs (width={width})"
+    finally:
+        op.close()
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("k", [3, 4])
+def test_levels_blocked_matches_reference(grid24, executor, k):
+    kwargs = {"n_threads": 2} if executor != "serial" else {}
+    op = build_fbmpk_operator(grid24, strategy="levels-blocked",
+                              block_size=64, executor=executor, **kwargs)
+    try:
+        x = np.random.default_rng(k).standard_normal(grid24.n_rows)
+        assert np.array_equal(op.power(x, k), reference_power(op, x, k))
+    finally:
+        op.close()
+
+
 # -- input dtypes ----------------------------------------------------------
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int32])
 def test_block_bitwise_identical_across_input_dtypes(mat, dtype):
     """Inputs of any dtype are converted to float64 once, identically
     on both paths — a float32 or integer RHS batches bit-exactly too."""
-    op = build_fbmpk_operator(mat, backend="numpy")
+    op = build_fbmpk_operator(mat)
     try:
         rng = np.random.default_rng(0)
         if np.issubdtype(dtype, np.integer):
@@ -108,7 +163,7 @@ def square_csr(draw, max_n=20):
        width=st.integers(min_value=1, max_value=6),
        seed=st.integers(min_value=0, max_value=2 ** 31))
 def test_block_bitwise_identical_arbitrary_matrices(a, k, width, seed):
-    op = build_fbmpk_operator(a, backend="numpy")
+    op = build_fbmpk_operator(a)
     try:
         X = np.random.default_rng(seed).uniform(
             -1.0, 1.0, size=(a.n_rows, width))

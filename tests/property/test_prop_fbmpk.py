@@ -1,6 +1,9 @@
 """Property-based tests of the FBMPK equivalence — the library's central
 invariant: every pipeline computes exactly the standard MPK result on
-*arbitrary* square sparse matrices and vectors.
+*arbitrary* square sparse matrices and vectors, and every fused
+schedule (ABMC at any block size, levels, levels-blocked) on every
+executor is bitwise equal to Algorithm 2 (``fbmpk_reference``) on its
+own row ordering.
 """
 
 import numpy as np
@@ -17,6 +20,8 @@ from repro.core.mpk import mpk_reference_dense
 from repro.core.partition import split_ldu
 from repro.core.sspmv import sspmv_fbmpk, sspmv_standard
 from repro.sparse import CSRMatrix
+
+from ..oracle import reference_power
 
 
 @st.composite
@@ -60,9 +65,41 @@ def test_reference_and_unfused_match_dense(data, k):
 def test_fused_operator_matches_dense(data, k, strategy, block_size):
     a, x = data
     op = build_fbmpk_operator(a, strategy=strategy, block_size=block_size)
-    np.testing.assert_allclose(op.power(x, k),
-                               mpk_reference_dense(a, x, k),
+    y = op.power(x, k)
+    np.testing.assert_allclose(y, mpk_reference_dense(a, x, k),
                                rtol=1e-9, atol=1e-11)
+    assert np.array_equal(y, reference_power(op, x, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=csr_with_vector(), k=st.integers(min_value=0, max_value=7),
+       schedule=st.sampled_from([("abmc", 1), ("abmc", 256),
+                                 ("levels", 1), ("levels-blocked", 4),
+                                 ("levels-blocked", 256)]))
+def test_fused_schedules_bitwise_equal_reference(data, k, schedule):
+    """Serial fused sweeps of every schedule family reproduce Algorithm
+    2's arithmetic exactly (odd and even k, tails included)."""
+    a, x = data
+    strategy, block_size = schedule
+    op = build_fbmpk_operator(a, strategy=strategy, block_size=block_size)
+    assert np.array_equal(op.power(x, k), reference_power(op, x, k))
+
+
+@settings(max_examples=6, deadline=None)
+@given(data=csr_with_vector(), k=st.sampled_from([3, 4]),
+       executor=st.sampled_from(["threads", "processes"]),
+       schedule=st.sampled_from([("abmc", 1), ("abmc", 256),
+                                 ("levels", 1), ("levels-blocked", 4)]))
+def test_parallel_executors_bitwise_equal_reference(data, k, executor,
+                                                    schedule):
+    a, x = data
+    strategy, block_size = schedule
+    op = build_fbmpk_operator(a, strategy=strategy, block_size=block_size,
+                              executor=executor, n_threads=2)
+    try:
+        assert np.array_equal(op.power(x, k), reference_power(op, x, k))
+    finally:
+        op.close()
 
 
 @settings(max_examples=40, deadline=None)

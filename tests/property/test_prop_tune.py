@@ -23,14 +23,12 @@ from repro.tune import (
 PROP_CANDIDATES = [
     default_power_plan(),
     ExecutionPlan("power", {"variant": "fused", "strategy": "levels",
-                            "block_size": 1, "backend": "numpy",
-                            "executor": "serial"}),
+                            "block_size": 1, "executor": "serial"}),
     ExecutionPlan("power", {"variant": "fused", "strategy": "abmc",
-                            "block_size": 1, "backend": "numpy",
+                            "block_size": 1,
                             "executor": "threads", "n_threads": 2}),
     ExecutionPlan("power", {"variant": "unfused", "strategy": "none",
-                            "block_size": 1, "backend": "numpy",
-                            "executor": "serial"}),
+                            "block_size": 1, "executor": "serial"}),
 ]
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import build_fbmpk_operator
 from repro.matrices import banded_random
+from repro.parallel.dispatch import DescriptorBatch
 from repro.parallel.executor import ThreadedPhaseExecutor
 from repro.parallel.scheduler import BlockTask, Phase
 from repro.robust import (
@@ -154,24 +155,31 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 # executor failure containment
 # ---------------------------------------------------------------------------
-def _toy_phases(n=32, block=8):
+def _toy_batch(n=32, block=8):
     tasks = [BlockTask(s, min(s + block, n), block)
              for s in range(0, n, block)]
-    return [Phase(color=c, tasks=[t]) for c, t in enumerate(tasks)]
+    return DescriptorBatch.from_phases(
+        [Phase(color=c, tasks=[t]) for c, t in enumerate(tasks)])
+
+
+def _rows(batch, g):
+    return int(batch.starts[g]), int(batch.stops[g])
 
 
 class TestExecutorContainment:
     def test_crash_yields_typed_error_with_context(self):
         y = np.zeros(32)
+        batch = _toy_batch()
 
-        def run(task):
-            y[task.start:task.stop] += 1
+        def run(g):
+            start, stop = _rows(batch, g)
+            y[start:stop] += 1
 
         inj = FaultInjector().install(
             "executor.task", RaiseFault(match={"color": 2}))
         ex = ThreadedPhaseExecutor(n_threads=2)
         with inj, pytest.raises(PhaseExecutionError) as ei:
-            ex.run_phases(_toy_phases(), run)
+            ex.run_batched(batch, run)
         err = ei.value
         assert err.phase_index == 2
         assert err.color == 2
@@ -186,56 +194,59 @@ class TestExecutorContainment:
 
     def test_barrier_drains_other_bins(self):
         """The failure must not propagate before concurrently running
-        bins finish — no orphaned writers into caller state."""
+        workers finish — no orphaned writers into caller state."""
         done = []
+        batch = DescriptorBatch.from_phases(
+            [Phase(color=0, tasks=[BlockTask(0, 8, 8),
+                                   BlockTask(8, 16, 8)])])
 
-        def run(task):
-            done.append(task.start)
+        def run(g):
+            done.append(_rows(batch, g)[0])
 
-        phases = [Phase(color=0, tasks=[BlockTask(0, 8, 8),
-                                        BlockTask(8, 16, 8)])]
         inj = FaultInjector()
         inj.install("executor.task",
                     RaiseFault(match={"start": 0}))
         inj.install("executor.task", DelayFault(0.05, match={"start": 8}))
-        ex = ThreadedPhaseExecutor(n_threads=2)
+        ex = ThreadedPhaseExecutor(n_threads=2, claim_chunk=1)
         with inj, pytest.raises(PhaseExecutionError):
-            ex.run_phases(phases, run)
-        assert 8 in done  # the delayed sibling bin completed
+            ex.run_batched(batch, run)
+        assert 8 in done  # the delayed sibling block completed
 
     def test_delay_fault_slows_but_never_corrupts(self):
         y = np.zeros(32)
+        batch = _toy_batch()
 
-        def run(task):
-            y[task.start:task.stop] = task.start
+        def run(g):
+            start, stop = _rows(batch, g)
+            y[start:stop] = start
 
         inj = FaultInjector().install(
             "executor.task", DelayFault(0.01, times=2))
         with ThreadedPhaseExecutor(n_threads=2) as ex, inj:
-            stats = ex.run_phases(_toy_phases(), run)
+            stats = ex.run_batched(batch, run)
         expect = np.repeat(np.arange(0, 32, 8), 8)
         assert np.array_equal(y, expect)
         assert stats.barriers == 4
 
     def test_fallback_serial_with_reset(self):
         y = np.zeros(32)
+        batch = _toy_batch()
 
-        def run(task):
-            y[task.start:task.stop] += task.start + 1
+        def run(g):
+            start, stop = _rows(batch, g)
+            y[start:stop] += start + 1
 
         def reset():
             y[:] = 0.0
 
-        ref = np.zeros(32)
-        ThreadedPhaseExecutor(n_threads=1).run_serial(_toy_phases(),
-                                                      lambda t: ref.__setitem__(
-                                                          slice(t.start, t.stop),
-                                                          ref[t.start:t.stop] + t.start + 1))
+        ThreadedPhaseExecutor(n_threads=1).run_serial_batch(batch, run)
+        ref = y.copy()
+        reset()
         inj = FaultInjector().install("executor.task", RaiseFault(times=1))
         ex = ThreadedPhaseExecutor(n_threads=2,
                                    on_failure="fallback_serial")
         with inj:
-            stats = ex.run_phases(_toy_phases(), run, reset=reset)
+            stats = ex.run_batched(batch, run, reset=reset)
         assert np.array_equal(y, ref)  # bit-identical to clean serial
         # Stats reflect only the serial rerun, not the aborted attempt.
         assert stats.barriers == 4
@@ -246,7 +257,7 @@ class TestExecutorContainment:
         ex = ThreadedPhaseExecutor(n_threads=2,
                                    on_failure="fallback_serial")
         with inj, pytest.raises(PhaseExecutionError):
-            ex.run_phases(_toy_phases(), lambda t: None)
+            ex.run_batched(_toy_batch(), lambda g: None)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="on_failure"):

@@ -22,9 +22,9 @@ from repro.serve.spec import MatrixSpec
 SPEC = MatrixSpec(standin="cant", rows=250, seed=0)
 
 
-def make_entry(backend="numpy", spec=SPEC):
+def make_entry(strategy="abmc", spec=SPEC):
     a = spec.load()
-    op = build_fbmpk_operator(a, backend=backend)
+    op = build_fbmpk_operator(a, strategy=strategy)
     return ResidentOperator(spec, op, "00", "build")
 
 
@@ -139,7 +139,7 @@ def test_global_pending_cap():
 # -- unbatchable fallback --------------------------------------------------
 def test_unbatchable_entry_served_per_request():
     async def main():
-        entry = make_entry(backend="scipy")
+        entry = make_entry(strategy="levels-blocked")  # no power_block
         assert not entry.can_batch
         b = make_batcher()
         xs = vectors(entry.n, 3)

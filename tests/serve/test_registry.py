@@ -37,7 +37,7 @@ def test_first_acquire_builds_then_hits():
         e1 = await reg.acquire(SPEC_A)
         assert isinstance(e1.op, FBMPKOperator)
         assert e1.source == "build"
-        assert e1.can_batch          # tune=off builds the numpy backend
+        assert e1.can_batch          # every FBMPK operator batches
         assert reg.residents == 1
         e2 = await reg.acquire(SPEC_A)
         assert e2 is e1
@@ -148,25 +148,29 @@ def test_request_after_eviction_rebuilds():
 
 # -- can_batch gate --------------------------------------------------------
 def test_can_batch_requires_numpy_fbmpk():
+    """Only an FBMPK operator (with ``power_block``) is batched."""
     class FakeOp:
-        backend = "numpy"
         n = 4
 
     entry = ResidentOperator(SPEC_A, FakeOp(), "00", "build")
     assert not entry.can_batch          # not an FBMPKOperator
 
 
-def test_scipy_backend_is_not_batchable():
-    a = SPEC_A.load()
-    op = build = None
-    try:
-        from repro.core import build_fbmpk_operator
+def test_every_fbmpk_operator_is_batchable():
+    """ABMC at any block size and levels all batch; levels-blocked has
+    no ``power_block`` and is served per request."""
+    from repro.core import build_fbmpk_operator
 
-        op = build_fbmpk_operator(a, backend="scipy")
-        entry = ResidentOperator(SPEC_A, op, "00", "build")
-        assert not entry.can_batch
-    finally:
-        if op is not None:
+    a = SPEC_A.load()
+    for strategy, block_size, batchable in (
+            ("abmc", 1, True), ("abmc", 256, True), ("levels", 1, True),
+            ("levels-blocked", 256, False)):
+        op = build_fbmpk_operator(a, strategy=strategy,
+                                  block_size=block_size)
+        try:
+            entry = ResidentOperator(SPEC_A, op, "00", "build")
+            assert entry.can_batch is batchable, strategy
+        finally:
             op.close()
 
 

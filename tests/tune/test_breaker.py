@@ -26,8 +26,7 @@ from repro.tune import (
 FAST_CANDIDATES = [
     default_power_plan(),
     ExecutionPlan("power", {"variant": "fused", "strategy": "levels",
-                            "block_size": 1, "backend": "numpy",
-                            "executor": "serial"}),
+                            "block_size": 1, "executor": "serial"}),
 ]
 
 

@@ -1,5 +1,7 @@
 """Differential matrix: tuned execution must be bit-identical to the
-default path for every (matrix class x k x executor) combination.
+default path — and so to Algorithm 2 (``fbmpk_reference``) on the
+default ABMC ordering — for every (matrix class x k x executor)
+combination.
 
 This is the acceptance property of the whole tuner: whatever plan wins,
 ``tuned`` and ``default`` produce the same bits — because the autotuner
@@ -17,16 +19,24 @@ from repro.solvers import bicgstab, conjugate_gradient, gmres
 from repro.solvers.chebyshev import chebyshev_solve
 from repro.tune import ExecutionPlan, autotune_power, default_power_plan
 
+from ..oracle import reference_power
+
 POWERS = [1, 2, 3, 8]
+
+
+def _default_on(executor):
+    return ExecutionPlan("power", {"variant": "fused", "strategy": "abmc",
+                                   "block_size": 1, "executor": executor,
+                                   "n_threads": 2})
+
 
 CANDIDATES = {
     "serial": [default_power_plan()],
     "threads": [
         default_power_plan(),  # reference for the identity gate
-        ExecutionPlan("power", {"variant": "fused", "strategy": "abmc",
-                                "block_size": 1, "backend": "numpy",
-                                "executor": "threads", "n_threads": 2}),
+        _default_on("threads"),
     ],
+    "processes": [default_power_plan(), _default_on("processes")],
 }
 
 
@@ -41,10 +51,56 @@ def test_tuned_power_bit_identical(any_matrix, k, executor, rng):
     try:
         for _ in range(2):  # fresh inputs, not the tuning probe
             x = rng.standard_normal(a.n_rows)
-            assert np.array_equal(op.power(x, k), ref.power(x, k))
+            y = op.power(x, k)
+            assert np.array_equal(y, ref.power(x, k))
+            assert np.array_equal(y, reference_power(ref, x, k))
     finally:
         op.close()
         ref.close()
+
+
+#: Every schedule family, each compared on its own row ordering.
+SCHEDULES = [("abmc", 1), ("abmc", 256), ("levels", 1),
+             ("levels-blocked", 64)]
+
+
+@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("schedule", SCHEDULES,
+                         ids=[f"{s}-b{b}" for s, b in SCHEDULES])
+@pytest.mark.parametrize("k", [3, 8])
+def test_plan_bitwise_equal_reference(grid, schedule, executor, k, rng):
+    """Whatever plan the tuner instantiates, its output equals
+    Algorithm 2 on that plan's row ordering, for odd and even k."""
+    from repro.tune.registry import instantiate_power
+
+    strategy, block_size = schedule
+    params = {"variant": "fused", "strategy": strategy,
+              "block_size": block_size, "executor": executor}
+    if executor != "serial":
+        params["n_threads"] = 2
+    op = instantiate_power(ExecutionPlan("power", params), grid)
+    try:
+        x = rng.standard_normal(grid.n_rows)
+        assert np.array_equal(op.power(x, k), reference_power(op, x, k))
+        if hasattr(op, "power_block"):
+            X = rng.standard_normal((grid.n_rows, 4))
+            Y = op.power_block(X, k)
+            for j in range(X.shape[1]):
+                assert np.array_equal(Y[:, j],
+                                      reference_power(op, X[:, j], k))
+    finally:
+        op.close()
+
+
+def test_processes_winner_forced(grid, rng):
+    op, res = autotune_power(grid, k=5, cache=False, repeats=1, warmup=0,
+                             candidates=CANDIDATES["processes"],
+                             racing=False)
+    try:
+        x = rng.standard_normal(grid.n_rows)
+        assert np.array_equal(op.power(x, 5), reference_power(op, x, 5))
+    finally:
+        op.close()
 
 
 def test_threaded_winner_forced(grid, rng):

@@ -24,8 +24,7 @@ from repro.tune import (
 # -- ExecutionPlan envelope ------------------------------------------------
 def test_plan_roundtrip():
     plan = ExecutionPlan("power", {"variant": "fused", "strategy": "abmc",
-                                   "block_size": 1, "backend": "numpy",
-                                   "executor": "serial"})
+                                   "block_size": 1, "executor": "serial"})
     assert ExecutionPlan.from_dict(plan.to_dict()) == plan
 
 
@@ -88,7 +87,7 @@ def test_invalidate(tmp_path, grid):
     json.dumps({"schema_version": 999}),  # future envelope version
     json.dumps({"schema_version": 1, "fingerprint": {},
                 "plan": {"schema_version": 1, "kind": "power",
-                         "params": {}}}),  # fingerprint mismatch
+                         "params": {}}}),  # old envelope, no fingerprint
     json.dumps({"schema_version": 1}),   # missing everything else
 ])
 def test_corrupt_entry_is_a_miss(tmp_path, grid, garbage):
@@ -153,6 +152,39 @@ def test_xdg_fallback(tmp_path, monkeypatch):
     monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     assert default_cache_dir() == tmp_path / "xdg" / "repro" / "plans"
+
+
+# -- schema version 1 (plans with a kernel ``backend`` knob) ---------------
+def test_v1_artefact_retunes(tmp_path, grid, rng):
+    """An entry written under cache schema 1 — its plan still names a
+    ``backend`` — loads as a miss, and tuning over it searches afresh,
+    raises nothing and replaces it with a current entry."""
+    from repro.tune import CACHE_SCHEMA_VERSION, autotune_power
+
+    cache = PlanCache(tmp_path)
+    fp = fingerprint_matrix(grid)
+    op = build_fbmpk_operator(grid)
+    cache.store(fp, ExecutionPlan("power", {
+        "variant": "fused", "strategy": "abmc", "block_size": 1,
+        "backend": "scipy", "executor": "serial"}), operator=op)
+    payload = json.loads(cache.entry_path(fp).read_text())
+    payload["schema_version"] = 1
+    cache.entry_path(fp).write_text(json.dumps(payload))
+    assert cache.load(fp) is None
+
+    tuned, res = autotune_power(grid, k=4, cache=str(tmp_path), repeats=1,
+                                warmup=0, candidates=[default_power_plan()])
+    try:
+        assert res.source == "search"
+        assert res.plan == default_power_plan()
+        stored = json.loads(cache.entry_path(fp).read_text())
+        assert stored["schema_version"] == CACHE_SCHEMA_VERSION == 2
+        assert "backend" not in stored["plan"]["params"]
+        x = rng.standard_normal(grid.n_rows)
+        assert np.array_equal(tuned.power(x, 4), op.power(x, 4))
+    finally:
+        tuned.close()
+        op.close()
 
 
 # -- operator artefact -----------------------------------------------------
