@@ -50,6 +50,7 @@ from ..parallel.dispatch import DescriptorBatch
 from ..parallel.procexec import ProcessPhaseExecutor
 from ..robust.validate import ensure_finite
 from ..parallel.scheduler import (
+    BlockTask,
     Phase,
     build_phases,
     phases_from_groups,
@@ -401,12 +402,47 @@ def _as_float64(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _phase_rows(phase: Phase) -> np.ndarray:
-    """The rows of one phase's blocks, ascending."""
-    starts = np.array([t.start for t in phase.tasks], dtype=np.int64)
-    stops = np.array([t.stop for t in phase.tasks], dtype=np.int64)
-    order = np.argsort(starts, kind="stable")
-    return kernels.ranges_to_rows(starts[order], stops[order])
+def _phase_segments(tri: CSRMatrix,
+                    batch: DescriptorBatch) -> List[kernels.Segment]:
+    """One serial segment per phase of ``batch``: the rows of its blocks,
+    chained when any block is (same-colour blocks share no entries, so a
+    phase's rows depend on each other only inside a block)."""
+    segs = []
+    for pi in range(batch.n_phases):
+        lo, hi = batch.phase_range(pi)
+        if lo == hi:
+            continue
+        order = np.argsort(batch.starts[lo:hi], kind="stable") + lo
+        rows = kernels.ranges_to_rows(batch.starts[order],
+                                      batch.stops[order])
+        segs.append(kernels.row_set(tri, rows,
+                                    bool(batch.chained[lo:hi].any())))
+    return segs
+
+
+def _unpack_phases(tri: CSRMatrix, ptr: np.ndarray, colors: np.ndarray,
+                   starts: np.ndarray, stops: np.ndarray) -> List[Phase]:
+    """The phases :meth:`FBMPKOperator.save` packed, block nnz re-read
+    from ``tri``."""
+    blocks = np.stack([starts, stops, tri.indptr[stops] - tri.indptr[starts]],
+                      axis=1).tolist()
+    return [Phase(color=c, tasks=[BlockTask(*b) for b in blocks[lo:hi]])
+            for c, lo, hi in zip(colors.tolist(), ptr[:-1].tolist(),
+                                 ptr[1:].tolist())]
+
+
+def _descriptor_runner(kernel, tri: CSRMatrix, batch: DescriptorBatch,
+                       *buffers) -> Callable[[int], None]:
+    """The threads executor's ``run_desc``: descriptor ``g`` of ``batch``
+    through the sweep ``kernel`` (:func:`kernels.forward` or
+    :func:`kernels.backward`) over ``buffers``."""
+    starts, stops, chained = batch.starts, batch.stops, batch.chained
+
+    def run(g: int) -> None:
+        s, e = int(starts[g]), int(stops[g])
+        kernel(kernels.row_range(tri, s, e), slice(s, e), *buffers,
+               bool(chained[g]))
+    return run
 
 
 @dataclass
@@ -414,18 +450,14 @@ class _ThreadedState:
     """Lazily built artefacts of the ``"threads"`` execution backend.
 
     The phase schedule is packed once into :class:`DescriptorBatch`
-    arrays (the same plan representation the process backend registers
-    in its arena); ``fw_blocks``/``bw_blocks`` hold one kernel segment
-    per descriptor, in the batch's global descriptor order, so the
-    claim loop indexes them directly.
+    arrays (the same plan the process backend registers in its arena);
+    the claim loop runs each descriptor straight from them.
     """
 
     fw_phases: List[Phase]
     bw_phases: List[Phase]
     fw_batch: DescriptorBatch
     bw_batch: DescriptorBatch
-    fw_blocks: List[kernels.Segment]
-    bw_blocks: List[kernels.Segment]
     pool: ThreadedPhaseExecutor
 
 
@@ -560,6 +592,8 @@ class FBMPKOperator:
         self._blk_buf: Optional[np.ndarray] = None
         self._segments: Optional[Tuple[List[kernels.Segment],
                                        List[kernels.Segment]]] = None
+        self._batches: Optional[Tuple[DescriptorBatch,
+                                      DescriptorBatch]] = None
 
     @property
     def n(self) -> int:
@@ -593,6 +627,7 @@ class FBMPKOperator:
             self.n_threads = n_threads
         if assign_policy is not None:
             self.assign_policy = assign_policy
+            self._batches = None
         if on_failure is not None:
             if on_failure not in ("raise", "fallback_serial"):
                 raise ValueError(
@@ -616,7 +651,7 @@ class FBMPKOperator:
         if self._threaded is not None:
             if assign_policy is not None:
                 # Batch order depends on the policy; rebuild the plan
-                # (and the aligned kernel lists) from scratch.
+                # from scratch.
                 self._threaded = None
             else:
                 self._threaded.pool.close()
@@ -645,39 +680,50 @@ class FBMPKOperator:
             self._phases_checked = True
         return fw, bw
 
+    def _descriptor_batches(self) -> Tuple[DescriptorBatch,
+                                           DescriptorBatch]:
+        """The ``(forward, backward)`` phase plan packed as descriptor
+        batches under :attr:`assign_policy`, each block flagged chained
+        against its sweep's triangle: the one plan the serial segments,
+        the threads executor and the process workers all read."""
+        if self._batches is None:
+            fw, bw = self._built_phase_plan()
+            self._batches = (
+                DescriptorBatch.from_phases(fw, self.assign_policy,
+                                            self.part.lower),
+                DescriptorBatch.from_phases(bw, self.assign_policy,
+                                            self.part.upper))
+        return self._batches
+
     def _serial_segments(self) -> Tuple[List[kernels.Segment],
                                         List[kernels.Segment]]:
         """The ``(forward, backward)`` segments of the serial sweeps,
-        built on first use: one per colour phase when the operator was
-        given its colour phases (validated then), one per sweep group
-        otherwise."""
+        built on first use: one per colour phase when the operator
+        carries its colour phases (validated then), one per sweep group
+        otherwise (a group's rows never depend on each other)."""
         if self._segments is None:
             if self._phase_plan is not None:
-                fw_rows, bw_rows = ([_phase_rows(p) for p in phases]
-                                    for phases in self._built_phase_plan())
+                fw, bw = self._descriptor_batches()
+                self._segments = (_phase_segments(self.part.lower, fw),
+                                  _phase_segments(self.part.upper, bw))
             else:
-                fw_rows, bw_rows = self.groups.forward, self.groups.backward
-            self._segments = (
-                [kernels.row_set(self.part.lower, rows)
-                 for rows in fw_rows if len(rows)],
-                [kernels.row_set(self.part.upper, rows)
-                 for rows in bw_rows if len(rows)])
+                self._segments = tuple(
+                    [kernels.row_set(tri, rows, False)
+                     for rows in groups if len(rows)]
+                    for tri, groups in (
+                        (self.part.lower, self.groups.forward),
+                        (self.part.upper, self.groups.backward)))
         return self._segments
 
     def _ensure_threaded(self) -> _ThreadedState:
-        """Build the block phases, per-block segments and worker pool on
-        first threaded use (lazy so serial operators pay nothing)."""
+        """Build the descriptor batches and worker pool on first
+        threaded use (lazy so serial operators pay nothing)."""
         if self._threaded is None:
             fw, bw = self._built_phase_plan()
-            fw_batch = DescriptorBatch.from_phases(fw, self.assign_policy)
-            bw_batch = DescriptorBatch.from_phases(bw, self.assign_policy)
+            fw_batch, bw_batch = self._descriptor_batches()
             self._threaded = _ThreadedState(
                 fw_phases=fw, bw_phases=bw,
                 fw_batch=fw_batch, bw_batch=bw_batch,
-                fw_blocks=kernels.range_segments(
-                    self.part.lower, fw_batch.starts, fw_batch.stops),
-                bw_blocks=kernels.range_segments(
-                    self.part.upper, bw_batch.starts, bw_batch.stops),
                 pool=ThreadedPhaseExecutor(self.n_threads,
                                            self.assign_policy,
                                            hang_timeout=self.hang_timeout,
@@ -694,6 +740,7 @@ class FBMPKOperator:
         segments instead of allocating private memory."""
         if self._procs is None:
             fw, bw = self._built_phase_plan()
+            fw_batch, bw_batch = self._descriptor_batches()
             pool = ProcessPhaseExecutor(
                 self.part, n_workers=self.n_threads,
                 policy=self.assign_policy,
@@ -702,8 +749,8 @@ class FBMPKOperator:
                 pin_workers=self.pin_workers)
             self._procs = _ProcState(
                 fw_phases=fw, bw_phases=bw,
-                fw_plan=pool.register_phases(fw),
-                bw_plan=pool.register_phases(bw),
+                fw_plan=pool.register_batch(fw_batch),
+                bw_plan=pool.register_batch(bw_batch),
                 pool=pool)
         self._xy_buf = self._procs.pool.xy
         self._tmp_buf = self._procs.pool.tmp
@@ -969,6 +1016,10 @@ class FBMPKOperator:
             stats = ExecutionStats(n_threads=state.pool.n_threads,
                                    policy=state.pool.policy)
             self.last_stats = stats
+            fw_run = _descriptor_runner(kernels.forward, self.part.lower,
+                                        state.fw_batch, XY, tmp, d)
+            bw_run = _descriptor_runner(kernels.backward, self.part.upper,
+                                        state.bw_batch, XY, tmp)
         elif procs:
             stats = ExecutionStats(n_threads=pstate.pool.n_workers,
                                    policy=pstate.pool.policy)
@@ -978,12 +1029,7 @@ class FBMPKOperator:
             with obs.span("fbmpk.sweep", sweep="forward",
                           power_step=power + 1):
                 if threaded:
-                    fw = state.fw_blocks
-                    state.pool.run_batched(
-                        state.fw_batch,
-                        lambda g: kernels.forward(fw[g].tri, fw[g].rows, XY,
-                                                  tmp, d, fw[g].chained),
-                        stats)
+                    state.pool.run_batched(state.fw_batch, fw_run, stats)
                 elif procs:
                     pstate.pool.run_batched(pstate.fw_plan, "forward",
                                             stats)
@@ -1001,12 +1047,7 @@ class FBMPKOperator:
             with obs.span("fbmpk.sweep", sweep="backward",
                           power_step=power + 1):
                 if threaded:
-                    bw = state.bw_blocks
-                    state.pool.run_batched(
-                        state.bw_batch,
-                        lambda g: kernels.backward(bw[g].tri, bw[g].rows, XY,
-                                                   tmp, bw[g].chained),
-                        stats)
+                    state.pool.run_batched(state.bw_batch, bw_run, stats)
                 elif procs:
                     pstate.pool.run_batched(pstate.bw_plan, "backward",
                                             stats)
@@ -1287,6 +1328,19 @@ class FBMPKOperator:
         }
         if self.perm is not None:
             payload["perm"] = self.perm
+        # Colour phases of one-row blocks sweep exactly as the stored
+        # groups do (one group per colour), so only phases with wider
+        # blocks are stored.
+        if self._phase_plan is not None and any(
+                t.stop - t.start > 1
+                for p in self._phase_plan[0] for t in p.tasks):
+            for name, phases in zip(("fw", "bw"), self._phase_plan):
+                # round_robin keeps each phase's declared block order.
+                b = DescriptorBatch.from_phases(phases, "round_robin")
+                payload[f"{name}_phase_ptr"] = b.phase_ptr
+                payload[f"{name}_phase_colors"] = b.colors
+                payload[f"{name}_block_starts"] = b.starts
+                payload[f"{name}_block_stops"] = b.stops
         for i, g in enumerate(groups_fw):
             payload[f"fw_{i}"] = g
         for i, g in enumerate(groups_bw):
@@ -1301,10 +1355,12 @@ class FBMPKOperator:
              pin_workers: Optional[bool] = None) -> "FBMPKOperator":
         """Rebuild an operator persisted with :meth:`save`.
 
-        The block-phase plan is not persisted; a loaded operator using
-        ``executor="threads"`` derives its phases from the stored sweep
-        groups (one phase per group), which is correct but carries one
-        barrier per wave/level rather than per colour.
+        An ABMC operator whose blocks span more than one row gets its
+        colour phases back, so it sweeps one segment per colour as the
+        built one does.  Other operators derive their phases from the
+        stored sweep groups (one phase per group); for one-row ABMC
+        blocks that is one phase per colour with the same serial
+        segments.
         """
         with np.load(path) as z:
             n = z["diag"].shape[0]
@@ -1320,10 +1376,17 @@ class FBMPKOperator:
                 origin=bytes(z["origin"]).decode(),
             )
             perm = z["perm"] if bool(z["has_perm"]) else None
+            phase_plan = None
+            if "fw_phase_ptr" in z.files:
+                phase_plan = tuple(
+                    _unpack_phases(tri, *(z[f"{name}_{key}"] for key in (
+                        "phase_ptr", "phase_colors", "block_starts",
+                        "block_stops")))
+                    for name, tri in (("fw", lower), ("bw", upper)))
         return cls(part, groups, perm=perm, validate=False,
                    executor=executor, n_threads=n_threads,
-                   assign_policy=assign_policy, claim_chunk=claim_chunk,
-                   pin_workers=pin_workers)
+                   assign_policy=assign_policy, phase_plan=phase_plan,
+                   claim_chunk=claim_chunk, pin_workers=pin_workers)
 
     def barriers_per_pair(self) -> int:
         """Synchronisation phases per forward+backward iteration — the

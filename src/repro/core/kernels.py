@@ -47,13 +47,10 @@ SciPy version, if a release changes it.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Tuple, Union
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from ..reorder.levels_blocked import OP_EVEN, OP_FINAL_ODD, OP_ODD
 
@@ -69,37 +66,7 @@ __all__ = [
     "backward",
     "tail",
     "blocked",
-    "range_segments",
 ]
-
-
-def _load_sparsetools():
-    """SciPy's compiled CSR loops (``scipy.sparse._sparsetools``).
-
-    Loaded straight from the extension file when ``scipy.sparse`` has
-    not been imported yet: the package's own import costs 0.1-0.2 s per
-    process, which every server launch and CLI call would otherwise pay
-    for one module.  Falls back to the ordinary import if the file is
-    not where SciPy keeps it."""
-    name = "scipy.sparse._sparsetools"
-    if name in sys.modules:
-        return sys.modules[name]
-    import scipy
-
-    for root in scipy.__path__:
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
-            if os.path.isfile(path):
-                spec = importlib.util.spec_from_file_location(name, path)
-                module = importlib.util.module_from_spec(spec)
-                spec.loader.exec_module(module)
-                return module
-    from scipy.sparse import _sparsetools
-
-    return _sparsetools
-
-
-_sparsetools = _load_sparsetools()
 
 #: ``(indptr, indices, data)`` of the rows one kernel call updates.
 Tri = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -135,13 +102,10 @@ def row_range(tri, start: int, stop: int) -> Tri:
     return tri.indptr[start:stop + 1], tri.indices, tri.data
 
 
-def _range_is_chained(tri, start: int, stop: int) -> bool:
-    cols = tri.indices[tri.indptr[start]:tri.indptr[stop]]
-    return bool(((cols >= start) & (cols < stop)).any())
-
-
-def row_set(tri, rows: np.ndarray) -> Segment:
-    """A serial sweep segment over the row set ``rows`` of ``tri``.
+def row_set(tri, rows: np.ndarray, chained: bool) -> Segment:
+    """A serial sweep segment over the row set ``rows`` of ``tri``;
+    ``chained`` says whether the rows depend on each other (see
+    :func:`chained_ranges`).
 
     A contiguous ascending set slices the triangle in place; any other
     set gathers its rows into a compact copy (same entries, same order
@@ -152,12 +116,10 @@ def row_set(tri, rows: np.ndarray) -> Segment:
             and (rows.shape[0] < 2 or bool((np.diff(rows) == 1).all())):
         nnz = int(tri.indptr[stop] - tri.indptr[start])
         return Segment(slice(start, stop), row_range(tri, start, stop), nnz,
-                       _range_is_chained(tri, start, stop))
+                       chained)
     sub = tri.select_rows(rows)
-    inside = np.zeros(tri.n_rows, dtype=bool)
-    inside[rows] = True
     return Segment(rows, (sub.indptr, sub.indices, sub.data), sub.nnz,
-                   bool(inside[sub.indices].any()))
+                   chained)
 
 
 def ranges_to_rows(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -273,17 +235,3 @@ def blocked(lower: Tri, upper: Tri, rows: slice, XY: np.ndarray,
     W[:, rs] += d[rows] * x
     accumulate(second, XY, W)  # the other column is discarded
     XY[rows, ws] = W[:, rs]
-
-
-def range_segments(tri, starts: Sequence[int],
-                   stops: Sequence[int]) -> List[Segment]:
-    """One :class:`Segment` per disjoint row range ``[starts[g],
-    stops[g])``, in order (the per-descriptor kernels of the threads
-    executor)."""
-    starts = np.asarray(starts, dtype=np.int64)
-    stops = np.asarray(stops, dtype=np.int64)
-    flags = chained_ranges(tri.indptr, tri.indices, starts, stops)
-    nnz = tri.indptr[stops] - tri.indptr[starts]
-    return [Segment(slice(int(s), int(e)), row_range(tri, int(s), int(e)),
-                    int(z), bool(c))
-            for s, e, z, c in zip(starts, stops, nnz, flags)]

@@ -41,6 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core import kernels
 from .scheduler import BlockTask, Phase
 
 __all__ = [
@@ -106,12 +107,20 @@ class DescriptorBatch:
     #: name fixes the kernel); the levels-blocked schedule mixes powers
     #: inside one phase, so each descriptor carries its own op.
     ops: Optional[np.ndarray] = None
+    #: Optional per-descriptor flags (bool, aligned with ``starts``):
+    #: the block's rows depend on each other under the triangle the
+    #: phases sweep, so the sweep kernels take two calls on it (see
+    #: :mod:`repro.core.kernels`).  Fixed by the schedule, so computed
+    #: once here; ``None`` when the batch was packed without a triangle.
+    chained: Optional[np.ndarray] = None
 
     @classmethod
-    def from_phases(cls, phases: Sequence[Phase],
-                    policy: str = "lpt") -> "DescriptorBatch":
+    def from_phases(cls, phases: Sequence[Phase], policy: str = "lpt",
+                    tri=None) -> "DescriptorBatch":
         """Pack ``phases`` (the legacy schedule) into descriptor arrays,
-        ordering each phase's blocks per :func:`ordered_tasks`."""
+        ordering each phase's blocks per :func:`ordered_tasks`.  Given
+        ``tri``, the CSR triangle the phases sweep, the batch also
+        carries the :attr:`chained` flags."""
         starts: List[int] = []
         stops: List[int] = []
         nnzs: List[int] = []
@@ -124,13 +133,18 @@ class DescriptorBatch:
                 nnzs.append(t.nnz)
             ptr.append(len(starts))
             colors.append(phase.color)
+        starts_a = np.asarray(starts, dtype=np.int64)
+        stops_a = np.asarray(stops, dtype=np.int64)
+        chained = None if tri is None else kernels.chained_ranges(
+            tri.indptr, tri.indices, starts_a, stops_a)
         return cls(
-            starts=np.asarray(starts, dtype=np.int64),
-            stops=np.asarray(stops, dtype=np.int64),
+            starts=starts_a,
+            stops=stops_a,
             nnz=np.asarray(nnzs, dtype=np.int64),
             phase_ptr=np.asarray(ptr, dtype=np.int64),
             colors=np.asarray(colors, dtype=np.int64),
             policy=policy,
+            chained=chained,
         )
 
     @property
@@ -192,11 +206,17 @@ class DescriptorBatch:
 
     def pack_rows(self) -> np.ndarray:
         """The int64 plan table shipped to workers: ``(2, n_blocks)``
-        (row 0 = starts, row 1 = stops), or ``(3, n_blocks)`` with the
-        per-descriptor :attr:`ops` tags as row 2 when present."""
-        if self.ops is not None:
-            return np.vstack([self.starts, self.stops, self.ops])
-        return np.vstack([self.starts, self.stops])
+        (row 0 = starts, row 1 = stops), or ``(4, n_blocks)`` when the
+        batch carries :attr:`ops` or :attr:`chained`: row 2 holds the op
+        tags (-1 without them), row 3 the chained flags (0 without)."""
+        if self.ops is None and self.chained is None:
+            return np.vstack([self.starts, self.stops])
+        n = self.starts.shape[0]
+        ops = np.full(n, -1, dtype=np.int64) if self.ops is None \
+            else self.ops
+        chained = np.zeros(n, dtype=np.int64) if self.chained is None \
+            else self.chained.astype(np.int64)
+        return np.vstack([self.starts, self.stops, ops, chained])
 
 
 def default_claim_chunk(n_blocks: int, n_workers: int) -> int:

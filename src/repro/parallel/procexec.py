@@ -286,17 +286,6 @@ class _Views:
         self.xyb = xyb
         self.tmpb = tmpb
 
-    def chained(self, sweep: str, starts: np.ndarray,
-                stops: np.ndarray) -> np.ndarray:
-        """Per block of a plan: whether its rows depend on each other
-        under ``sweep`` (such blocks take the two-call kernel).  All
-        False for the levels-blocked sweep, whose updates read one BtB
-        slot and write the other."""
-        if sweep == "blocked":
-            return np.zeros(starts.shape[0], dtype=bool)
-        tri = self.lower if sweep.startswith("forward") else self.upper
-        return kernels.chained_ranges(tri.indptr, tri.indices, starts, stops)
-
     # -- sweep kernels --------------------------------------------------
     def run(self, sweep: str, start: int, stop: int, op: int = -1,
             chained: bool = False) -> None:
@@ -394,9 +383,7 @@ def _worker_main(worker_id: int, core_spec: Dict[str, _SegmentSpec],
     t_idle0 = time.monotonic()
     blk: Optional[_AttachedSegments] = None
     plans: Dict[int, Tuple[_AttachedSegments, np.ndarray, np.ndarray,
-                           Optional[np.ndarray]]] = {}
-    # (plan slot, forward?) -> chained-block flags, computed on first use
-    chained_by_plan: Dict[Tuple[int, bool], np.ndarray] = {}
+                           Optional[np.ndarray], Optional[np.ndarray]]] = {}
 
     def bind(spec: Optional[Dict[str, _SegmentSpec]]) -> None:
         nonlocal blk
@@ -411,10 +398,12 @@ def _worker_main(worker_id: int, core_spec: Dict[str, _SegmentSpec],
     def attach_plan(slot: int, spec: _SegmentSpec) -> None:
         seg = _AttachedSegments({"rows": spec})
         rows = seg.view("rows")
-        # Row 2, when present, carries the per-descriptor op tags of a
-        # levels-blocked plan.
-        ops = rows[2] if rows.shape[0] > 2 else None
-        plans[slot] = (seg, rows[0], rows[1], ops)
+        # Rows 2 and 3, when present, carry the per-descriptor op tags
+        # and chained flags (DescriptorBatch.pack_rows).
+        if rows.shape[0] > 2:
+            plans[slot] = (seg, rows[0], rows[1], rows[2], rows[3])
+        else:
+            plans[slot] = (seg, rows[0], rows[1], None, None)
 
     for plan_slot, plan_spec in plan_specs.items():
         attach_plan(plan_slot, plan_spec)
@@ -434,12 +423,7 @@ def _worker_main(worker_id: int, core_spec: Dict[str, _SegmentSpec],
             #  chunk, trace) — one triple per worker per phase; trace is
             #  None (telemetry off) or (trace_id, parent_span_id).
             _, sweep, slot, pi, color, lo, hi, epoch, chunk, trace = msg
-            _, starts, stops, ops = plans[slot]
-            key = (slot, sweep.startswith("forward"))
-            chained = chained_by_plan.get(key)
-            if chained is None:
-                chained = views.chained(sweep, starts, stops)
-                chained_by_plan[key] = chained
+            _, starts, stops, ops, chained = plans[slot]
             t_mono0 = time.monotonic()
             sweep_idx = SWEEPS.index(sweep) if sweep in SWEEPS else -1
             if ring is not None and trace is not None:
@@ -473,7 +457,7 @@ def _worker_main(worker_id: int, core_spec: Dict[str, _SegmentSpec],
                                       stop=stop, worker=worker_id)
                         views.run(sweep, start, stop,
                                   -1 if ops is None else int(ops[g]),
-                                  bool(chained[g]))
+                                  chained is not None and bool(chained[g]))
                         claimed += 1
                 if ring is not None and trace is not None and claimed:
                     # Written before the barrier arrival: the lock/event
@@ -506,7 +490,7 @@ def _worker_main(worker_id: int, core_spec: Dict[str, _SegmentSpec],
                 barrier.arrive()
                 t_idle0 = time.monotonic()
     finally:
-        for seg, _, _, _ in plans.values():
+        for seg, *_ in plans.values():
             seg.close()
         if blk is not None:
             blk.close()
@@ -849,8 +833,7 @@ class ProcessPhaseExecutor:
             stats = ExecutionStats(n_threads=self.n_workers,
                                    policy=self.policy)
         views = self._views
-        ops = batch.ops
-        chained = views.chained(sweep, batch.starts, batch.stops)
+        ops, chained = batch.ops, batch.chained
         for pi in range(batch.n_phases):
             lo, hi = batch.phase_range(pi)
             color = batch.phase_color(pi)
@@ -862,24 +845,30 @@ class ProcessPhaseExecutor:
                     views.run(sweep, int(batch.starts[g]),
                               int(batch.stops[g]),
                               -1 if ops is None else int(ops[g]),
-                              bool(chained[g]))
+                              chained is not None and bool(chained[g]))
                 elapsed = time.perf_counter() - t0
             stats.thread_busy_s[0] += elapsed
             self._finish_phase(stats, color, hi - lo, nnz, elapsed)
         return stats
 
-    def register_phases(self, phases: Sequence[Phase]) -> int:
-        """Pack ``phases`` into a descriptor plan, place its row table
+    def register_phases(self, phases: Sequence[Phase], sweep: str) -> int:
+        """Pack ``phases`` into a descriptor plan for ``sweep`` (whose
+        triangle fixes the blocks' chained flags), place its row table
         in the arena, and return the plan slot for :meth:`run_batched`.
         Registration is the one-time cost that buys one-enqueue-per-
         phase-per-worker dispatch on every subsequent sweep."""
+        if sweep not in SWEEPS:
+            raise ValueError(f"unknown sweep {sweep!r}")
+        tri = self._views.upper if sweep.startswith("backward") \
+            else self._views.lower
         return self.register_batch(
-            DescriptorBatch.from_phases(phases, self.policy))
+            DescriptorBatch.from_phases(phases, self.policy, tri))
 
     def register_batch(self, batch: DescriptorBatch) -> int:
         """Place an already-packed descriptor batch in the arena (its
-        row table gains the op-tag row when the batch carries one) and
-        return the plan slot for :meth:`run_batched`."""
+        row table gains the op-tag and chained rows when the batch
+        carries either) and return the plan slot for
+        :meth:`run_batched`."""
         slot = self._next_plan
         self._next_plan += 1
         self.arena.add(f"plan{slot}", batch.pack_rows())

@@ -57,6 +57,27 @@ class TestPersistence:
         assert loaded.groups.origin == op.groups.origin
         np.testing.assert_array_equal(loaded.power(x, 5), op.power(x, 5))
 
+    def test_loaded_abmc_operator_keeps_colour_phases(self, small_sym, rng,
+                                                      tmp_path):
+        """Multi-row ABMC blocks: the artefact carries the colour phases,
+        so the loaded operator sweeps one segment per colour, as the
+        built one does, rather than one per wave."""
+        op = build_fbmpk_operator(small_sym, strategy="abmc", block_size=4)
+        path = tmp_path / "op.npz"
+        op.save(path)
+        loaded = FBMPKOperator.load(path)
+        try:
+            assert loaded.block_phases() == op.block_phases()
+        finally:
+            loaded.close()
+            op.close()
+        n_colors = sum(1 for p in op.block_phases()[0] if p.tasks)
+        op.close()
+        assert len(loaded._serial_segments()[0]) == n_colors \
+            < loaded.groups.n_forward
+        x = rng.standard_normal(small_sym.n_rows)
+        np.testing.assert_array_equal(loaded.power(x, 5), op.power(x, 5))
+
     def test_loaded_operator_metadata(self, grid, tmp_path):
         op = build_fbmpk_operator(grid, strategy="abmc", block_size=1)
         path = tmp_path / "grid.npz"

@@ -106,6 +106,24 @@ def test_descriptor_batch_layout():
     np.testing.assert_array_equal(rows[1], [4, 8, 12, 16])
 
 
+def test_descriptor_batch_chained_flags():
+    """Packed against a triangle, a block is flagged chained when one of
+    its rows reads another row of the same block; the flags ride in the
+    plan table as row 3 (row 2, the op tags, is -1 for colour sweeps)."""
+    part = split_ldu(poisson2d(4, seed=0))  # row i reads i-1 and i-4
+    phases = [Phase(color=0, tasks=[BlockTask(0, 1, 0), BlockTask(1, 4, 0),
+                                    BlockTask(4, 5, 0), BlockTask(5, 16, 0)])]
+    for tri in (part.lower, part.upper):
+        batch = DescriptorBatch.from_phases(phases, "round_robin", tri)
+        np.testing.assert_array_equal(batch.chained,
+                                      [False, True, False, True])
+        rows = batch.pack_rows()
+        assert rows.shape == (4, 4) and rows.dtype == np.int64
+        np.testing.assert_array_equal(rows[2], [-1, -1, -1, -1])
+        np.testing.assert_array_equal(rows[3], [0, 1, 0, 1])
+    assert DescriptorBatch.from_phases(phases).chained is None
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     raw=st.lists(
@@ -292,7 +310,7 @@ def test_sigkill_mid_phase_trips_liveness_scan(shm_leaked):
     with ProcessPhaseExecutor(part, n_workers=2,
                               task_hook=_hook_suicide) as ex:
         with pytest.raises(PhaseExecutionError, match="died"):
-            ex.run_batched(ex.register_phases(phases), "forward")
+            ex.run_batched(ex.register_phases(phases, "forward"), "forward")
     assert shm_leaked() == set()
 
 
@@ -307,7 +325,7 @@ def test_one_enqueue_per_phase_per_worker(shm_leaked):
     phases = [Phase(color=0, tasks=tasks)]
     stats = ExecutionStats(n_threads=2, policy="lpt")
     with ProcessPhaseExecutor(part, n_workers=2, claim_chunk=1) as ex:
-        ex.run_batched(ex.register_phases(phases), "forward", stats)
+        ex.run_batched(ex.register_phases(phases, "forward"), "forward", stats)
     assert stats.enqueues == len(phases) * 2
     assert stats.enqueues < len(tasks)  # strictly below per-block cost
     assert stats.barriers == len(phases)

@@ -282,7 +282,7 @@ class TestFailureContainment:
                                   task_hook=_hook_boom) as ex:
             with pytest.raises(PhaseExecutionError,
                                match="hook boom") as info:
-                ex.run_batched(ex.register_phases(phases), "forward")
+                ex.run_batched(ex.register_phases(phases, "forward"), "forward")
         err = info.value
         assert err.phase_index == 0 and err.color == 0
         clone = pickle.loads(pickle.dumps(err))
@@ -485,4 +485,4 @@ class TestLifecycle:
         part = split_ldu(matrices["sym"])
         with ProcessPhaseExecutor(part, n_workers=1) as ex:
             with pytest.raises(ValueError, match="sweep"):
-                ex.run_batched(ex.register_phases([]), "sideways")
+                ex.run_batched(ex.register_phases([], "forward"), "sideways")

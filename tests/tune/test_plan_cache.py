@@ -11,6 +11,7 @@ from repro import obs
 from repro.core import build_fbmpk_operator
 from repro.tune import (
     CACHE_DIR_ENV_VAR,
+    CACHE_SCHEMA_VERSION,
     ExecutionPlan,
     PlanCache,
     PlanFormatError,
@@ -87,7 +88,10 @@ def test_invalidate(tmp_path, grid):
     json.dumps({"schema_version": 999}),  # future envelope version
     json.dumps({"schema_version": 1, "fingerprint": {},
                 "plan": {"schema_version": 1, "kind": "power",
-                         "params": {}}}),  # old envelope, no fingerprint
+                         "params": {}}}),  # old envelope version
+    json.dumps({"schema_version": CACHE_SCHEMA_VERSION, "fingerprint": {},
+                "plan": {"schema_version": 1, "kind": "power",
+                         "params": {}}}),  # fingerprint mismatch
     json.dumps({"schema_version": 1}),   # missing everything else
 ])
 def test_corrupt_entry_is_a_miss(tmp_path, grid, garbage):
@@ -159,7 +163,7 @@ def test_v1_artefact_retunes(tmp_path, grid, rng):
     """An entry written under cache schema 1 — its plan still names a
     ``backend`` — loads as a miss, and tuning over it searches afresh,
     raises nothing and replaces it with a current entry."""
-    from repro.tune import CACHE_SCHEMA_VERSION, autotune_power
+    from repro.tune import autotune_power
 
     cache = PlanCache(tmp_path)
     fp = fingerprint_matrix(grid)
