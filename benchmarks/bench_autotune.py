@@ -12,9 +12,18 @@ human-readable table in ``benchmarks/out/``.
 The cache-amortisation claim is also asserted: a second
 ``autotune_power`` call against the populated cache must return the
 same plan from disk without timing a single candidate.
+
+The search times only the candidates that are bit-identical to the
+default by design; ``candidates`` records how many were timed and
+``candidates_enumerated`` how many :func:`power_candidates` proposed.
+The JSON also records the host's CPU count and affinity, since the
+parallel candidates' times depend on both.
+
+Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_autotune.py``.
 """
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -23,7 +32,8 @@ import pytest
 
 from repro.bench import bench_rows, format_table, standin, write_report
 from repro.core import build_fbmpk_operator
-from repro.tune import PlanCache, autotune_power, trimmed_mean
+from repro.tune import (PlanCache, autotune_power, power_candidates,
+                        trimmed_mean)
 
 K = 8
 REPEATS = 5
@@ -97,6 +107,7 @@ def test_tuned_not_slower_than_default(name, tmp_path, rng):
             "search_s": search_s,
             "cache_hit_s": hit_s,
             "candidates": len(result.trials),
+            "candidates_enumerated": len(power_candidates()),
         }
         # The acceptance bound: tuned execution must not lose to the
         # default it was gated against.  5% covers timer noise on a
@@ -147,8 +158,13 @@ def test_racing_reduces_search_wall_clock(rng):
 def test_write_results():
     """Persist the per-class numbers (runs last: file order)."""
     assert _RESULTS, "no benchmark results collected"
+    try:
+        affinity = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without an affinity mask
+        affinity = None
     payload = {
         "bench": "autotune",
+        "host": {"cpu_count": os.cpu_count(), "affinity": affinity},
         "k": K,
         "repeats": REPEATS,
         "matrices": _RESULTS,

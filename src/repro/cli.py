@@ -244,7 +244,7 @@ def cmd_power(args) -> int:
                   f"efficiency {stats.efficiency:.1%}")
             slowest = max(stats.phases, key=lambda p: p.wall_s)
             print(f"slowest phase: colour {slowest.color} "
-                  f"({slowest.n_tasks} blocks, {slowest.nnz} nnz, "
+                  f"({slowest.n_tasks} ranges, {slowest.nnz} nnz, "
                   f"{slowest.wall_s * 1e3:.2f} ms)")
         op.close()
     return 0

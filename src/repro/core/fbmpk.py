@@ -402,24 +402,6 @@ def _as_float64(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _phase_segments(tri: CSRMatrix,
-                    batch: DescriptorBatch) -> List[kernels.Segment]:
-    """One serial segment per phase of ``batch``: the rows of its blocks,
-    chained when any block is (same-colour blocks share no entries, so a
-    phase's rows depend on each other only inside a block)."""
-    segs = []
-    for pi in range(batch.n_phases):
-        lo, hi = batch.phase_range(pi)
-        if lo == hi:
-            continue
-        order = np.argsort(batch.starts[lo:hi], kind="stable") + lo
-        rows = kernels.ranges_to_rows(batch.starts[order],
-                                      batch.stops[order])
-        segs.append(kernels.row_set(tri, rows,
-                                    bool(batch.chained[lo:hi].any())))
-    return segs
-
-
 def _unpack_phases(tri: CSRMatrix, ptr: np.ndarray, colors: np.ndarray,
                    starts: np.ndarray, stops: np.ndarray) -> List[Phase]:
     """The phases :meth:`FBMPKOperator.save` packed, block nnz re-read
@@ -592,8 +574,11 @@ class FBMPKOperator:
         self._blk_buf: Optional[np.ndarray] = None
         self._segments: Optional[Tuple[List[kernels.Segment],
                                        List[kernels.Segment]]] = None
-        self._batches: Optional[Tuple[DescriptorBatch,
-                                      DescriptorBatch]] = None
+        # Coalesced (forward, backward) descriptor batches, one pair per
+        # range count: 1 for the serial segments, the pool size for
+        # each parallel backend.
+        self._batches: Dict[int, Tuple[DescriptorBatch,
+                                       DescriptorBatch]] = {}
 
     @property
     def n(self) -> int:
@@ -604,7 +589,7 @@ class FBMPKOperator:
     def configure_executor(
         self,
         executor: Optional[ExecutorKind] = None,
-        n_threads: Optional[int] = None,
+        n_threads: object = _KEEP,
         assign_policy: Optional[str] = None,
         on_failure: Optional[str] = None,
         hang_timeout: object = _KEEP,
@@ -613,21 +598,26 @@ class FBMPKOperator:
     ) -> "FBMPKOperator":
         """Re-point the operator at a different execution backend.
 
-        Phases and sweep segments are preprocessing artefacts and are
-        kept; only the worker pools are recreated, so a benchmark can
-        sweep thread counts and policies over one amortised
-        preprocessing pass (Section V-F).  Returns ``self`` for
-        chaining.
+        Phases, descriptor batches and sweep segments are preprocessing
+        artefacts and are kept; only the worker pools are shut down (the
+        next parallel call respawns them with the new knobs), so a
+        benchmark or the autotuner can sweep executors, thread counts
+        and policies over one amortised preprocessing pass (Section
+        V-F).  Knobs left at their defaults keep their current values;
+        ``n_threads=None`` selects the host's CPU count.  Returns
+        ``self`` for chaining.
         """
         if executor is not None:
             if executor not in EXECUTOR_KINDS:
                 raise ValueError(f"unknown executor {executor!r}")
             self.executor = executor
-        if n_threads is not None:
+        if n_threads is not _KEEP:
             self.n_threads = n_threads
-        if assign_policy is not None:
+        if assign_policy is not None \
+                and assign_policy != self.assign_policy:
             self.assign_policy = assign_policy
-            self._batches = None
+            self._batches = {}
+            self._segments = None
         if on_failure is not None:
             if on_failure not in ("raise", "fallback_serial"):
                 raise ValueError(
@@ -648,18 +638,7 @@ class FBMPKOperator:
             self.claim_chunk = claim_chunk
         if pin_workers is not _KEEP:
             self.pin_workers = pin_workers
-        if self._threaded is not None:
-            if assign_policy is not None:
-                # Batch order depends on the policy; rebuild the plan
-                # from scratch.
-                self._threaded = None
-            else:
-                self._threaded.pool.close()
-                self._threaded.pool = ThreadedPhaseExecutor(
-                    self.n_threads, self.assign_policy,
-                    hang_timeout=self.hang_timeout,
-                    claim_chunk=self.claim_chunk)
-        self._close_procs()  # next processes call rebuilds with new knobs
+        self.close()  # the next parallel call rebuilds with the new knobs
         return self
 
     def _built_phase_plan(self) -> PhasePlan:
@@ -680,32 +659,41 @@ class FBMPKOperator:
             self._phases_checked = True
         return fw, bw
 
-    def _descriptor_batches(self) -> Tuple[DescriptorBatch,
-                                           DescriptorBatch]:
+    def _descriptor_batches(self, n_parts: int
+                            ) -> Tuple[DescriptorBatch, DescriptorBatch]:
         """The ``(forward, backward)`` phase plan packed as descriptor
-        batches under :attr:`assign_policy`, each block flagged chained
-        against its sweep's triangle: the one plan the serial segments,
-        the threads executor and the process workers all read."""
-        if self._batches is None:
+        batches under :attr:`assign_policy`, each phase's blocks merged
+        into at most ``n_parts`` row ranges per contiguous run
+        (:meth:`DescriptorBatch.coalesced`) and flagged chained against
+        its sweep's triangle: the one plan the serial segments
+        (``n_parts=1``), the threads executor and the process workers
+        (``n_parts`` = pool size) all read."""
+        if n_parts not in self._batches:
             fw, bw = self._built_phase_plan()
-            self._batches = (
-                DescriptorBatch.from_phases(fw, self.assign_policy,
-                                            self.part.lower),
-                DescriptorBatch.from_phases(bw, self.assign_policy,
-                                            self.part.upper))
-        return self._batches
+            self._batches[n_parts] = tuple(
+                DescriptorBatch.from_phases(phases, self.assign_policy)
+                .coalesced(n_parts, tri)
+                for phases, tri in ((fw, self.part.lower),
+                                    (bw, self.part.upper)))
+        return self._batches[n_parts]
 
     def _serial_segments(self) -> Tuple[List[kernels.Segment],
                                         List[kernels.Segment]]:
         """The ``(forward, backward)`` segments of the serial sweeps,
-        built on first use: one per colour phase when the operator
-        carries its colour phases (validated then), one per sweep group
-        otherwise (a group's rows never depend on each other)."""
+        built on first use: one per contiguous run of each colour phase
+        (one per colour for ABMC) when the operator carries its colour
+        phases (validated then), one per sweep group otherwise (a
+        group's rows never depend on each other)."""
         if self._segments is None:
             if self._phase_plan is not None:
-                fw, bw = self._descriptor_batches()
-                self._segments = (_phase_segments(self.part.lower, fw),
-                                  _phase_segments(self.part.upper, bw))
+                self._segments = tuple(
+                    [kernels.Segment(slice(s, e),
+                                     kernels.row_range(tri, s, e), z, c)
+                     for s, e, z, c in zip(
+                         b.starts.tolist(), b.stops.tolist(),
+                         b.nnz.tolist(), b.chained.tolist())]
+                    for b, tri in zip(self._descriptor_batches(1),
+                                      (self.part.lower, self.part.upper)))
             else:
                 self._segments = tuple(
                     [kernels.row_set(tri, rows, False)
@@ -720,14 +708,13 @@ class FBMPKOperator:
         threaded use (lazy so serial operators pay nothing)."""
         if self._threaded is None:
             fw, bw = self._built_phase_plan()
-            fw_batch, bw_batch = self._descriptor_batches()
+            pool = ThreadedPhaseExecutor(self.n_threads, self.assign_policy,
+                                         hang_timeout=self.hang_timeout,
+                                         claim_chunk=self.claim_chunk)
+            fw_batch, bw_batch = self._descriptor_batches(pool.n_threads)
             self._threaded = _ThreadedState(
                 fw_phases=fw, bw_phases=bw,
-                fw_batch=fw_batch, bw_batch=bw_batch,
-                pool=ThreadedPhaseExecutor(self.n_threads,
-                                           self.assign_policy,
-                                           hang_timeout=self.hang_timeout,
-                                           claim_chunk=self.claim_chunk))
+                fw_batch=fw_batch, bw_batch=bw_batch, pool=pool)
         return self._threaded
 
     def _ensure_procs(self) -> _ProcState:
@@ -740,13 +727,13 @@ class FBMPKOperator:
         segments instead of allocating private memory."""
         if self._procs is None:
             fw, bw = self._built_phase_plan()
-            fw_batch, bw_batch = self._descriptor_batches()
             pool = ProcessPhaseExecutor(
                 self.part, n_workers=self.n_threads,
                 policy=self.assign_policy,
                 hang_timeout=self.hang_timeout,
                 claim_chunk=self.claim_chunk,
                 pin_workers=self.pin_workers)
+            fw_batch, bw_batch = self._descriptor_batches(pool.n_workers)
             self._procs = _ProcState(
                 fw_phases=fw, bw_phases=bw,
                 fw_plan=pool.register_batch(fw_batch),
@@ -1306,12 +1293,11 @@ class FBMPKOperator:
 
         The paper stresses that splitting/reordering "can often be
         performed offline when storing the matrix data" (Section IV-C);
-        this makes the offline artefact concrete.
+        this makes the offline artefact concrete.  Each sweep's groups
+        are stored as one concatenated row array plus offsets, and the
+        file is not compressed: a fixed handful of members keeps both
+        writing and reading cheap whatever the group count.
         """
-        groups_fw = [np.asarray(g, dtype=np.int64)
-                     for g in self.groups.forward]
-        groups_bw = [np.asarray(g, dtype=np.int64)
-                     for g in self.groups.backward]
         payload = {
             "l_indptr": self.part.lower.indptr,
             "l_indices": self.part.lower.indices,
@@ -1321,8 +1307,6 @@ class FBMPKOperator:
             "u_data": self.part.upper.data,
             "diag": self.part.diag,
             "source_nnz": np.int64(self.part.source_nnz),
-            "n_fw": np.int64(len(groups_fw)),
-            "n_bw": np.int64(len(groups_bw)),
             "origin": np.bytes_(self.groups.origin.encode()),
             "has_perm": np.bool_(self.perm is not None),
         }
@@ -1341,11 +1325,15 @@ class FBMPKOperator:
                 payload[f"{name}_phase_colors"] = b.colors
                 payload[f"{name}_block_starts"] = b.starts
                 payload[f"{name}_block_stops"] = b.stops
-        for i, g in enumerate(groups_fw):
-            payload[f"fw_{i}"] = g
-        for i, g in enumerate(groups_bw):
-            payload[f"bw_{i}"] = g
-        np.savez_compressed(path, **payload)
+        for name, groups in (("fw", self.groups.forward),
+                             ("bw", self.groups.backward)):
+            sizes = [len(g) for g in groups]
+            payload[f"{name}_group_ptr"] = np.concatenate(
+                ([0], np.cumsum(sizes, dtype=np.int64)))
+            payload[f"{name}_group_rows"] = np.concatenate(
+                [np.asarray(g, dtype=np.int64) for g in groups]
+                + [np.zeros(0, dtype=np.int64)])
+        np.savez(path, **payload)
 
     @classmethod
     def load(cls, path, executor: ExecutorKind = "serial",
@@ -1370,11 +1358,12 @@ class FBMPKOperator:
                               (n, n), check=False)
             part = TriangularPartition(lower, upper, z["diag"],
                                        int(z["source_nnz"]))
-            groups = SweepGroups(
-                forward=[z[f"fw_{i}"] for i in range(int(z["n_fw"]))],
-                backward=[z[f"bw_{i}"] for i in range(int(z["n_bw"]))],
-                origin=bytes(z["origin"]).decode(),
-            )
+            fw, bw = ([rows[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
+                      for rows, ptr in ((z[f"{name}_group_rows"],
+                                         z[f"{name}_group_ptr"].tolist())
+                                        for name in ("fw", "bw")))
+            groups = SweepGroups(forward=fw, backward=bw,
+                                 origin=bytes(z["origin"]).decode())
             perm = z["perm"] if bool(z["has_perm"]) else None
             phase_plan = None
             if "fw_phase_ptr" in z.files:
@@ -1789,10 +1778,12 @@ def build_fbmpk_operator(
     shared-memory worker pool of :mod:`repro.parallel.procexec`, same
     phases and policies but GIL-free — ``n_threads`` then counts worker
     processes).  With ``strategy="abmc"``
-    the threaded backend gets the paper's true block phases — one phase
-    per colour, one task per block, intra-block rows handled inside the
-    task — so a k=2 pair costs ``2 * n_colors`` barriers regardless of
-    block size; with ``strategy="levels"`` each level is one phase.
+    the parallel backends get the paper's block phases — one phase per
+    colour, its blocks merged into at most one row range per worker
+    (cut only at block boundaries, intra-block rows handled inside the
+    range) — so a k=2 pair costs ``2 * n_colors`` barriers and about one
+    kernel call per worker per phase regardless of block size; with
+    ``strategy="levels"`` each level is one phase.
     """
     if a.shape[0] != a.shape[1]:
         raise ValueError("FBMPK requires a square matrix")

@@ -22,6 +22,14 @@ Both executors consume the same :class:`DescriptorBatch`:
   lock (a futex-backed POSIX semaphore — the portable CPython stand-in
   for a CAS loop; the critical section is a single fetch-and-add).
 
+Operators do not dispatch one descriptor per block.  At ABMC's default
+one-row blocks that would be one kernel call per row, and Python
+dispatch would dominate the sweep.  :meth:`DescriptorBatch.coalesced`
+merges each phase's contiguous same-colour blocks into at most
+``n_workers`` row ranges, balanced by work and cut only at block
+boundaries, so a worker makes about one kernel call per phase; with one
+part the same packer yields the serial sweeps' one segment per colour.
+
 Bit-identity is preserved by construction: descriptors are only ever
 reordered *within* a phase (colour), and same-colour blocks touch
 disjoint vector elements, so per-colour block results are
@@ -202,6 +210,73 @@ class DescriptorBatch:
             colors=np.asarray(colors, dtype=np.int64),
             policy=policy,
             ops=np.asarray(op_tags, dtype=np.int64),
+        )
+
+    def coalesced(self, n_parts: int, tri) -> "DescriptorBatch":
+        """This batch with each phase's blocks merged into row ranges:
+        runs of blocks that are contiguous in row order, further cut at
+        the block boundaries nearest the ``n_parts - 1`` points that
+        split the phase's work (stored entries plus rows) evenly.  A
+        phase of ``r`` runs gets at most ``r + n_parts - 1`` ranges; an
+        ABMC colour is one contiguous run, so its phase becomes at most
+        ``n_parts`` descriptors — about one kernel call per worker
+        instead of one per block.
+
+        Same-colour blocks share no entries, so a merged range's rows
+        depend on each other only inside its blocks; the :attr:`chained`
+        flags are recomputed on the merged ranges against ``tri``, the
+        triangle the phases sweep, and every row keeps its arithmetic.
+        Ranges are ordered per :func:`ordered_tasks` (``lpt``: largest
+        first)."""
+        if n_parts < 1:
+            raise ValueError("n_parts must be positive")
+        starts = [np.zeros(0, dtype=np.int64)]
+        stops = [np.zeros(0, dtype=np.int64)]
+        nnzs = [np.zeros(0, dtype=np.int64)]
+        ptr = [0]
+        for pi in range(self.n_phases):
+            lo, hi = self.phase_range(pi)
+            order = np.argsort(self.starts[lo:hi], kind="stable") + lo
+            s, e, z = self.starts[order], self.stops[order], self.nnz[order]
+            n = s.shape[0]
+            if n:
+                # Block boundaries b = 1 .. n-1 where a range may start:
+                # every gap between runs, plus the boundary nearest each
+                # of the n_parts - 1 equal-work targets.
+                cuts = set((np.nonzero(s[1:] != e[:-1])[0] + 1).tolist())
+                work = np.cumsum(z + (e - s))
+                before = work[:-1]  # work ahead of boundary b = j + 1
+                if n_parts > 1 and n > 1:
+                    targets = work[-1] * np.arange(1, n_parts) / n_parts
+                    j = np.searchsorted(before, targets)
+                    lo_j = np.clip(j - 1, 0, n - 2)
+                    hi_j = np.clip(j, 0, n - 2)
+                    pick = np.where(np.abs(before[lo_j] - targets)
+                                    <= np.abs(before[hi_j] - targets),
+                                    lo_j, hi_j)
+                    cuts.update((pick + 1).tolist())
+                first = np.array([0] + sorted(cuts), dtype=np.int64)
+                last = np.append(first[1:], n) - 1
+                rs, re, rz = s[first], e[last], np.add.reduceat(z, first)
+                if self.policy == "lpt":
+                    keep = np.argsort(-rz, kind="stable")
+                    rs, re, rz = rs[keep], re[keep], rz[keep]
+                starts.append(rs)
+                stops.append(re)
+                nnzs.append(rz)
+                n = rs.shape[0]
+            ptr.append(ptr[-1] + n)
+        starts_a = np.concatenate(starts)
+        stops_a = np.concatenate(stops)
+        return DescriptorBatch(
+            starts=starts_a,
+            stops=stops_a,
+            nnz=np.concatenate(nnzs),
+            phase_ptr=np.asarray(ptr, dtype=np.int64),
+            colors=self.colors,
+            policy=self.policy,
+            chained=kernels.chained_ranges(tri.indptr, tri.indices,
+                                           starts_a, stops_a),
         )
 
     def pack_rows(self) -> np.ndarray:

@@ -200,6 +200,7 @@ class SharedArena:
     def __init__(self) -> None:
         self._owned: List[shared_memory.SharedMemory] = []
         self._by_tag: Dict[str, shared_memory.SharedMemory] = {}
+        self._retired: List[shared_memory.SharedMemory] = []
         self._views: Dict[str, np.ndarray] = {}
         #: ``tag -> (shm name, dtype str, shape)``; picklable, this is
         #: what crosses the process boundary instead of array payloads.
@@ -226,17 +227,26 @@ class SharedArena:
         """The canonical shared view for ``tag``."""
         return self._views[tag]
 
-    def drop(self, tags: Sequence[str]) -> None:
-        """Unlink specific segments early (block-buffer rebinds)."""
+    def retire(self, tags: Sequence[str]) -> None:
+        """Take segments out of the arena's tags without unlinking them
+        yet (block-buffer rebinds): a worker may still hold an unread
+        message naming them.  :meth:`release_retired` unlinks them once
+        no worker can attach any more; :meth:`close` does too."""
         for tag in tags:
             shm = self._by_tag.pop(tag, None)
             if shm is None:
                 continue
             self._views.pop(tag, None)
             self.spec.pop(tag, None)
+            self._retired.append(shm)
+
+    def release_retired(self) -> None:
+        """Unlink every segment :meth:`retire` set aside."""
+        retired, self._retired = self._retired, []
+        for shm in retired:
             if shm in self._owned:
                 self._owned.remove(shm)
-            _release_segments([shm])
+        _release_segments(retired)
 
     @property
     def closed(self) -> bool:
@@ -246,6 +256,7 @@ class SharedArena:
         """Unlink every segment (idempotent)."""
         self._views.clear()
         self._by_tag.clear()
+        self._retired.clear()
         self.spec.clear()
         self._finalizer()
 
@@ -663,11 +674,20 @@ class ProcessPhaseExecutor:
         columns: the ``(n, 2m)`` interleaved iterate block and the
         ``(n, m)`` temporary.  (Re)allocated only when ``m`` changes;
         running workers are rebound in-band, so descriptor ordering
-        guarantees they never touch a stale segment."""
+        guarantees they never touch a stale segment.
+
+        A worker reads its rebind messages only when the next phase
+        reaches it, so several widths can change in between (a
+        ``power_block`` with ``k=1`` dispatches no phase).  The old
+        segments therefore stay linked until every worker has passed a
+        later phase barrier, or the pool is gone: a worker never attaches
+        to a segment the parent has unlinked."""
         if m < 0:
             raise ValueError("m must be non-negative")
         if self._blk_m != m:
-            self.arena.drop(("xyb", "tmpb"))
+            self.arena.retire(("xyb", "tmpb"))
+            if self._pool is None:
+                self.arena.release_retired()
             xyb = self.arena.add(
                 "xyb", np.zeros((self.n, 2 * m), dtype=np.float64))
             tmpb = self.arena.add(
@@ -792,6 +812,7 @@ class ProcessPhaseExecutor:
         for q in pool.inqs:
             q.close()
         pool.outq.close()
+        self.arena.release_retired()  # no worker is left to attach
 
     def close(self) -> None:
         """Shut the pool down and unlink every shared segment
@@ -1010,6 +1031,10 @@ class ProcessPhaseExecutor:
         stats.enqueues += self.n_workers
         obs.add_counter("procexec.enqueues", self.n_workers)
         failure = self._await_event(pool, pi, color, epoch)
+        if failure is None:
+            # Every worker arrived, so each has read the rebind messages
+            # queued ahead of this phase.
+            self.arena.release_retired()
         busy = self._wbusy - busy0
         for i in range(self.n_workers):
             stats.thread_busy_s[i] += float(busy[i])

@@ -1,25 +1,36 @@
 """Empirical autotuning with bit-identity gating.
 
-The OSKI-style loop: enumerate candidate execution plans
-(:mod:`repro.tune.registry`), time each on the *actual* matrix with
-warmup + trimmed-mean repeats, and accept a candidate only if it passes
-a two-part bit-identity gate: its output must be **bit-identical**
-(``np.array_equal``, not ``allclose``) to the library's default path on
-three independent probe vectors, *and* the plan must perform the same
-floating-point arithmetic by construction
-(:func:`repro.tune.registry.plan_is_bit_identical_by_design` — no
-finite probe set can rule out a rounding coincidence on a small
-matrix).  The winner is the fastest accepted candidate — with ties
+The OSKI-style loop, split into an offline and an online part: enumerate
+candidate execution plans (:mod:`repro.tune.registry`), keep only those
+that perform the same floating-point arithmetic as the library default
+by construction
+(:func:`repro.tune.registry.plan_is_bit_identical_by_design`), and time
+each of those on the *actual* matrix with warmup + trimmed-mean repeats.
+The gate runs on the plan description, before anything is built: a plan
+that could never be selected costs nothing (it is counted under
+``tune.skipped_not_by_design``).  Every timed candidate must still pass
+the empirical check — its output **bit-identical** (``np.array_equal``,
+not ``allclose``) to the default path's on three independent probe
+vectors.  The winner is the fastest accepted candidate — with ties
 going to the default — so the tuned path can never be
-slower-by-selection or numerically different from the untuned one.  Winning plans (plus, for fused FBMPK winners, the
-preprocessed operator artefact) are persisted through
-:class:`repro.tune.cache.PlanCache`, so a later process skips both the
-search and the recomputable preprocessing: the amortisation the paper's
-Fig. 11 argues for, moved from per-process to per-matrix.
+slower-by-selection or numerically different from the untuned one.
 
-Resilience: a tuning search can take tens of seconds (the BENCH
-numbers: 34–55 s per structure) and can fail repeatedly on a
-pathological input — unacceptable on a serving path.  Both entry
+Candidates that differ only in execution knobs (executor, worker count,
+assignment policy, claim chunk, pinning) share one built operator: the
+search builds it once and re-points it between trials with
+:meth:`~repro.core.fbmpk.FBMPKOperator.configure_executor`, which shuts
+down the previous trial's worker pool.  The returned operator carries
+the winner's executor configuration and no pool left over from the
+trials.  Winning plans (plus the winner's preprocessed operator
+artefact) are persisted through :class:`repro.tune.cache.PlanCache`, so
+a later process skips both the search and the recomputable
+preprocessing: the amortisation the paper's Fig. 11 argues for, moved
+from per-process to per-matrix.
+
+Resilience: a tuning search builds and times real operators (under a
+second per structure in ``BENCH_autotune.json``, but it grows with the
+matrix) and can fail repeatedly on a pathological input — unacceptable
+on a serving path.  Both entry
 points therefore run under a
 :class:`~repro.robust.resilience.CircuitBreaker` (the module-level
 :data:`SEARCH_BREAKER` unless the caller passes their own) with an
@@ -49,7 +60,7 @@ saving is observable.
 
 Telemetry (all no-ops without an active :class:`repro.obs.Telemetry`):
 ``tune.autotune`` / ``tune.candidate`` spans, ``tune.candidates`` /
-``tune.candidates_raced`` /
+``tune.skipped_not_by_design`` / ``tune.candidates_raced`` /
 ``tune.rejected_not_identical`` / ``tune.rejected_inefficient`` /
 ``tune.errors`` /
 ``tune.budget_exhausted`` / ``tune.breaker.*`` counters, and
@@ -68,17 +79,18 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .. import obs
-from ..core.fbmpk import FBMPKOperator
 from ..robust.resilience import CircuitBreaker, Deadline
 from ..sparse.csr import CSRMatrix
 from .cache import PlanCache
 from .fingerprint import StructureFingerprint, fingerprint_matrix
 from .plan import ExecutionPlan, default_power_plan, default_spmv_plan
 from .registry import (
+    configure_power,
     instantiate_power,
     instantiate_spmv,
     order_power_candidates,
     plan_is_bit_identical_by_design,
+    power_arithmetic_key,
     power_candidates,
     spmv_candidates,
 )
@@ -281,9 +293,11 @@ def autotune_power(
     artefact, no splitting/colouring/grouping is recomputed.  Otherwise
     the candidate space (``candidates`` or
     :func:`repro.tune.registry.power_candidates`, analytically
-    pre-ordered, optionally truncated to ``max_candidates`` — the
-    default plan always survives truncation) is measured and gated as
-    described in the module docstring, and the winner is persisted.
+    pre-ordered, reduced to the plans that are bit-identical to the
+    default by design, then optionally truncated to ``max_candidates`` —
+    the default plan always survives truncation) is measured and gated
+    as described in the module docstring, and the winner is persisted.
+    A candidate list with no such plan raises :class:`RuntimeError`.
 
     ``racing=True`` (the default) drops candidates whose first timed
     repeat already exceeds :data:`RACING_MARGIN` times the best trimmed
@@ -300,8 +314,9 @@ def autotune_power(
     exists to protect).
 
     The probe vectors are drawn from ``default_rng(seed)`` so reruns of
-    the search are reproducible.  The returned operator owns resources
-    (thread pools); call ``close()`` or use it as a context manager.
+    the search are reproducible.  The returned operator may start
+    worker pools on its first parallel call; call ``close()`` or use it
+    as a context manager.
     """
     store = _resolve_cache(cache)
     brk = _resolve_breaker(breaker)
@@ -353,12 +368,40 @@ def _load_power_entry(store, fp, a):
         source="cache", cache_path=store.entry_path(fp))
 
 
+def _operator_for(plan: ExecutionPlan, a: CSRMatrix,
+                  built: Dict[Tuple, Any]):
+    """The operator ``plan`` runs on: built once per arithmetic plan
+    (:func:`~repro.tune.registry.power_arithmetic_key`) with the serial
+    executor, then re-pointed at ``plan``'s execution knobs.  A failed
+    build is remembered, so the plans sharing it fail without
+    rebuilding."""
+    key = power_arithmetic_key(plan)
+    if key not in built:
+        try:
+            built[key] = instantiate_power(ExecutionPlan("power", dict(key)),
+                                           a)
+        except Exception as exc:
+            built[key] = exc
+    op = built[key]
+    if isinstance(op, Exception):
+        raise op
+    return configure_power(op, plan)
+
+
 def _search_power(a, k, fp, store, repeats, warmup, candidates,
                   max_candidates, seed, budget_s=None, racing=True):
     search_t0 = time.perf_counter()
     plans = list(candidates) if candidates is not None \
         else power_candidates()
     plans = order_power_candidates(plans, a, k)
+    # Gate before building: a plan whose arithmetic differs from the
+    # default's by construction can never be selected, so it is neither
+    # built nor timed, and it does not count against max_candidates.
+    eligible = [p for p in plans if plan_is_bit_identical_by_design(p)]
+    if len(eligible) < len(plans):
+        obs.add_counter("tune.skipped_not_by_design",
+                        len(plans) - len(eligible))
+    plans = eligible
     if max_candidates is not None and max_candidates >= 1:
         plans = plans[:max_candidates]
     deadline = Deadline.after(budget_s) if budget_s is not None \
@@ -374,123 +417,120 @@ def _search_power(a, k, fp, store, repeats, warmup, candidates,
 
     trials: List[Trial] = []
     refs: Optional[List[np.ndarray]] = None
-    best: Optional[Tuple[Trial, Any]] = None  # (trial, operator)
-    for i, plan in enumerate(plans):
-        if i > 0 and deadline.expired():
-            # Candidate 0 (the default) is always measured: it defines
-            # the references, so a budget too tight even for it still
-            # yields a correct, if untuned, winner.
-            budget_exhausted = True
-            obs.add_counter("tune.budget_exhausted")
-            break
-        trial = Trial(plan=plan,
-                      by_design=plan_is_bit_identical_by_design(plan))
-        trials.append(trial)
-        obs.add_counter("tune.candidates")
-        with obs.span("tune.candidate", plan=plan.label):
-            op = None
-            try:
-                t0 = time.perf_counter()
-                op = instantiate_power(plan, a)
-                trial.build_time_s = time.perf_counter() - t0
-
-                def run(op=op):
-                    return op.power(probes[0], k)
-
-                reference = best[0].time_s if best is not None else None
-                if racing and i > 0 and reference is not None:
-                    for _ in range(warmup):
-                        run()
+    best: Optional[Trial] = None
+    built: Dict[Tuple, Any] = {}  # arithmetic key -> operator or error
+    win_op = None
+    try:
+        for i, plan in enumerate(plans):
+            if i > 0 and deadline.expired():
+                # Candidate 0 (the default) is always measured: it
+                # defines the references, so a budget too tight even for
+                # it still yields a correct, if untuned, winner.
+                budget_exhausted = True
+                obs.add_counter("tune.budget_exhausted")
+                break
+            trial = Trial(plan=plan, by_design=True)
+            trials.append(trial)
+            obs.add_counter("tune.candidates")
+            with obs.span("tune.candidate", plan=plan.label):
+                try:
                     t0 = time.perf_counter()
-                    y0 = run()
-                    first = time.perf_counter() - t0
-                    if first > RACING_MARGIN * reference:
-                        # Raced out: a single repeat already misses the
-                        # incumbent by the margin.  Record the
-                        # pessimistic sample (it cannot win) and skip
-                        # the remaining repeats and identity probes.
-                        trial.time_s = first
-                        trial.raced = True
-                        obs.add_counter("tune.candidates_raced")
-                        op.close()
-                        continue
-                    trial.raced = False
-                    samples = [first]
-                    for _ in range(max(repeats, 1) - 1):
+                    op = _operator_for(plan, a, built)
+                    trial.build_time_s = time.perf_counter() - t0
+
+                    def run(op=op):
+                        return op.power(probes[0], k)
+
+                    reference = best.time_s if best is not None else None
+                    if racing and i > 0 and reference is not None:
+                        for _ in range(warmup):
+                            run()
                         t0 = time.perf_counter()
                         y0 = run()
-                        samples.append(time.perf_counter() - t0)
-                    trial.time_s = trimmed_mean(samples)
+                        first = time.perf_counter() - t0
+                        if first > RACING_MARGIN * reference:
+                            # Raced out: a single repeat already misses
+                            # the incumbent by the margin.  Record the
+                            # pessimistic sample (it cannot win) and
+                            # skip the remaining repeats and probes.
+                            trial.time_s = first
+                            trial.raced = True
+                            obs.add_counter("tune.candidates_raced")
+                            continue
+                        trial.raced = False
+                        samples = [first]
+                        for _ in range(max(repeats, 1) - 1):
+                            t0 = time.perf_counter()
+                            y0 = run()
+                            samples.append(time.perf_counter() - t0)
+                        trial.time_s = trimmed_mean(samples)
+                    else:
+                        trial.time_s, y0 = _time_candidate(run, repeats,
+                                                           warmup)
+                    ys = [y0] + [op.power(x, k) for x in probes[1:]]
+                except Exception as exc:
+                    trial.error = repr(exc)
+                    obs.add_counter("tune.errors")
+                    continue
+                if refs is None:
+                    # The first measured candidate (the default plan
+                    # when it ran) defines the reference outputs.
+                    refs = ys
+                    trial.identical = True
                 else:
-                    trial.time_s, y0 = _time_candidate(run, repeats,
-                                                       warmup)
-                ys = [y0] + [op.power(x, k) for x in probes[1:]]
-            except Exception as exc:
-                trial.error = repr(exc)
-                obs.add_counter("tune.errors")
-                if op is not None:
-                    op.close()
-                continue
-            if i == 0:
-                # Candidate 0 is the default plan by construction: it
-                # defines the reference outputs and is always accepted.
-                refs = ys
-                trial.identical = True
-            else:
-                trial.identical = all(
-                    np.array_equal(y, r) for y, r in zip(ys, refs))
-                if not trial.identical:
-                    obs.add_counter("tune.rejected_not_identical")
-                elif not trial.by_design:
-                    obs.event("tune.identical_but_not_by_design",
-                              plan=plan.label)
-                # Efficiency guard: a process-pool plan that fails to
-                # beat the measured serial default (speedup < 1) must
-                # never win, even if every other candidate errored out —
-                # a slowdown that also drags in worker processes and
-                # shared-memory segments is strictly worse than serial.
-                if (plan.params.get("executor") == "processes"
-                        and trials[0].time_s is not None
-                        and trial.time_s is not None
-                        and trial.time_s >= trials[0].time_s):
-                    trial.efficient = False
-                    obs.add_counter("tune.rejected_inefficient")
-            if trial.accepted and (best is None
-                                   or trial.time_s < best[0].time_s):
-                if best is not None:
-                    best[1].close()
-                best = (trial, op)
-            else:
+                    trial.identical = all(
+                        np.array_equal(y, r) for y, r in zip(ys, refs))
+                    if not trial.identical:
+                        obs.add_counter("tune.rejected_not_identical")
+                    # Efficiency guard: a process-pool plan that fails to
+                    # beat the measured serial default (speedup < 1)
+                    # must never win, even if every other candidate
+                    # errored out — a slowdown that also drags in worker
+                    # processes and shared-memory segments is strictly
+                    # worse than serial.
+                    if (plan.params.get("executor") == "processes"
+                            and trials[0].time_s is not None
+                            and trial.time_s is not None
+                            and trial.time_s >= trials[0].time_s):
+                        trial.efficient = False
+                        obs.add_counter("tune.rejected_inefficient")
+                if trial.accepted and (best is None
+                                       or trial.time_s < best.time_s):
+                    best = trial
+        if best is None:
+            raise RuntimeError(
+                "autotune_power: no candidate ran successfully (not even "
+                "the default plan); first error: "
+                + next((t.error for t in trials if t.error),
+                       "none recorded" if trials
+                       else "no candidate is bit-identical by design"))
+        win_op = configure_power(built[power_arithmetic_key(best.plan)],
+                                 best.plan)
+    finally:
+        for op in built.values():
+            if op is not win_op and not isinstance(op, Exception):
                 op.close()
-
-    if best is None:
-        raise RuntimeError(
-            "autotune_power: no candidate ran successfully (not even the "
-            "default plan); first error: "
-            + next((t.error for t in trials if t.error), "none recorded"))
-    win_trial, win_op = best
     default_time = trials[0].time_s
     result = TuningResult(
-        kind="power", fingerprint=fp, plan=win_trial.plan, source="search",
+        kind="power", fingerprint=fp, plan=best.plan, source="search",
         trials=trials, default_time_s=default_time,
-        best_time_s=win_trial.time_s, budget_exhausted=budget_exhausted,
+        best_time_s=best.time_s, budget_exhausted=budget_exhausted,
         search_s=time.perf_counter() - search_t0)
     if default_time is not None:
         obs.set_gauge("tune.default_time_s", default_time, unit="s")
-    obs.set_gauge("tune.best_time_s", win_trial.time_s, unit="s")
+    obs.set_gauge("tune.best_time_s", best.time_s, unit="s")
     if store is not None:
         meta: Dict[str, Any] = {
             "k": k,
             "repeats": repeats,
-            "time_s": win_trial.time_s,
+            "time_s": best.time_s,
             "default_time_s": default_time,
             "candidates": len(trials),
             "search_s": result.search_s,
             "raced": sum(1 for t in trials if t.raced),
         }
-        operator = win_op if isinstance(win_op, FBMPKOperator) else None
-        result.cache_path = store.store(fp, win_trial.plan, meta=meta,
-                                        operator=operator)
+        result.cache_path = store.store(fp, best.plan, meta=meta,
+                                        operator=win_op)
     return win_op, result
 
 

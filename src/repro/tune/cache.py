@@ -60,7 +60,10 @@ __all__ = [
 #: Version 2: power plans no longer carry a ``backend`` knob, and every
 #: fused plan sums rows in Algorithm 2's order, so a version-1 entry
 #: (timed under the old kernels) loads as a miss and is re-tuned.
-CACHE_SCHEMA_VERSION = 2
+#: Version 3: the operator artefact stores each sweep's groups as one
+#: concatenated array plus offsets, so an older entry misses instead of
+#: keeping a second artefact reader.
+CACHE_SCHEMA_VERSION = 3
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV_VAR = "REPRO_PLAN_CACHE_DIR"

@@ -25,17 +25,25 @@ Two candidate spaces exist, matching :data:`repro.tune.plan.PLAN_KINDS`:
 The enumerations always put the library default first; the autotuner
 relies on that to guarantee the default is measured (so "tuned is never
 worse than default" is decided empirically, not assumed).  Candidates
-are *proposals* — some may not even be constructible for a given matrix
-(e.g. BSR needs divisible dimensions) and some are not bit-identical to
-the default path (the unfused variant and any other row ordering for
-power plans, SELL/BSR's different summation orders for SpMV); the
-autotuner rejects those at measurement time.
+are *proposals*.  Some are not bit-identical to the default path by
+construction (the unfused variant and any other row ordering for power
+plans, SELL/BSR's different summation orders for SpMV):
+:func:`plan_is_bit_identical_by_design` says so from the plan alone, and
+the power search drops them before building anything.  Others may fail
+to build or run on a given matrix or host (e.g. BSR needs divisible
+dimensions); the autotuner records those as errored trials.
+
+Power plans that differ only in execution knobs
+(:data:`_POWER_EXECUTION_ONLY_KEYS`) share one built operator:
+:func:`power_arithmetic_key` names the preprocessing a plan needs, and
+:func:`configure_power` re-points a built operator at another plan's
+executor.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +67,8 @@ __all__ = [
     "spmv_candidates",
     "order_power_candidates",
     "plan_is_bit_identical_by_design",
+    "power_arithmetic_key",
+    "configure_power",
     "instantiate_power",
     "instantiate_spmv",
 ]
@@ -73,9 +83,8 @@ _SPMV_KERNELS_BY_DESIGN = frozenset({"vectorised", "blocked"})
 #: cannot change a result bit: the threaded and process executors are
 #: bitwise-equal to serial by the differential test layer, for the
 #: *same* built operator, and ``claim_chunk``/``pin_workers`` only
-#: change the work-stealing claim granularity and worker placement of
-#: the batched dispatch path (per-colour block results are
-#: order-independent).
+#: change the claim granularity and worker placement of the batched
+#: dispatch path (per-colour range results are order-independent).
 #: Everything else — variant, and notably ``strategy`` / ``block_size``,
 #: whose grouping permutes the matrix and therefore the per-row
 #: accumulation order — changes the floating-point arithmetic.
@@ -108,6 +117,32 @@ def plan_is_bit_identical_by_design(plan: ExecutionPlan) -> bool:
     if plan.kind == "spmv":
         return params.get("kernel", "vectorised") in _SPMV_KERNELS_BY_DESIGN
     return False
+
+
+def power_arithmetic_key(plan: ExecutionPlan) -> Tuple:
+    """The preprocessing a power plan needs: its knobs outside
+    :data:`_POWER_EXECUTION_ONLY_KEYS`, missing ones read as the
+    default's.  Plans with equal keys can share one built operator;
+    ``ExecutionPlan("power", dict(key))`` is the serial plan that builds
+    it."""
+    params = {**default_power_plan().params, **plan.params}
+    return tuple(sorted((key, value) for key, value in params.items()
+                        if key not in _POWER_EXECUTION_ONLY_KEYS))
+
+
+def configure_power(op, plan: ExecutionPlan):
+    """Re-point a built :class:`~repro.core.fbmpk.FBMPKOperator` at
+    ``plan``'s execution knobs (executor, worker count, assignment
+    policy, claim chunk, pinning), keeping its preprocessing; returns
+    ``op``.  Any running worker pool is shut down."""
+    params = plan.params
+    claim_chunk = params.get("claim_chunk")
+    return op.configure_executor(
+        executor=params.get("executor", "serial"),
+        n_threads=params.get("n_threads"),
+        assign_policy=params.get("assign_policy", "lpt"),
+        claim_chunk=None if claim_chunk is None else int(claim_chunk),
+        pin_workers=params.get("pin_workers"))
 
 
 class UnfusedPowerOperator:
@@ -156,13 +191,6 @@ def _default_thread_counts() -> List[int]:
     return sorted({c for c in (2, cores) if c > 1})
 
 
-#: Work-stealing claim-chunk values the joint executor × block-size ×
-#: claim-chunk search probes for process plans.  ``None`` is the
-#: auto-sized default (~4 steals per worker per phase); 1 maximises
-#: rebalancing, 8 minimises cursor traffic.
-_CLAIM_CHUNKS = (None, 1, 8)
-
-
 def power_candidates(
     thread_counts: Optional[Sequence[int]] = None,
     include_unfused: bool = True,
@@ -171,9 +199,10 @@ def power_candidates(
 
     ``thread_counts=None`` probes :func:`_default_thread_counts`; pass
     an explicit sequence to widen or suppress threaded candidates.
-    Process plans are enumerated jointly over executor × block size ×
-    claim chunk (:data:`_CLAIM_CHUNKS`), so the batched dispatch
-    granularity is tuned together with the schedule it drains.
+    There is no claim-chunk dimension: a parallel sweep dispatches at
+    most one row range per worker per phase
+    (:meth:`repro.parallel.dispatch.DescriptorBatch.coalesced`), so
+    every chunk size would hand out the same ranges.
     """
     if thread_counts is None:
         thread_counts = _default_thread_counts()
@@ -194,20 +223,14 @@ def power_candidates(
         if fused != default:
             plans.append(fused)
         for parallel_exec in ("threads", "processes"):
-            chunks = _CLAIM_CHUNKS if parallel_exec == "processes" \
-                else (None,)
             for n_threads in thread_counts:
-                for chunk in chunks:
-                    params = {
-                        "variant": "fused",
-                        "strategy": strategy,
-                        "block_size": block_size,
-                        "executor": parallel_exec,
-                        "n_threads": int(n_threads),
-                    }
-                    if chunk is not None:
-                        params["claim_chunk"] = int(chunk)
-                    plans.append(ExecutionPlan("power", params))
+                plans.append(ExecutionPlan("power", {
+                    "variant": "fused",
+                    "strategy": strategy,
+                    "block_size": block_size,
+                    "executor": parallel_exec,
+                    "n_threads": int(n_threads),
+                }))
     if include_unfused:
         plans.append(ExecutionPlan("power", {
             "variant": "unfused",

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import build_fbmpk_operator, kernels
 from repro.core.partition import split_ldu
 from repro.matrices import poisson2d
 from repro.parallel import (
@@ -45,6 +46,8 @@ from repro.parallel import (
 from repro.parallel.dispatch import CTRL_CURSOR, CTRL_SLOTS, ordered_tasks
 from repro.parallel.procexec import SHM_PREFIX, _AttachedSegments
 from repro.parallel.scheduler import assign_tasks
+
+from ..oracle import reference_block, reference_power
 
 POLICIES = ["round_robin", "lpt", "dynamic"]
 
@@ -122,6 +125,109 @@ def test_descriptor_batch_chained_flags():
         np.testing.assert_array_equal(rows[2], [-1, -1, -1, -1])
         np.testing.assert_array_equal(rows[3], [0, 1, 0, 1])
     assert DescriptorBatch.from_phases(phases).chained is None
+
+
+def test_coalesced_merges_runs_into_balanced_ranges():
+    """Contiguous same-phase blocks merge into ranges cut only at block
+    boundaries, near equal-work points; a gap between runs is always a
+    cut; chained flags are recomputed on the merged ranges."""
+    part = split_ldu(poisson2d(4, seed=0))  # row i reads i-1 and i-4
+    one_row = [BlockTask(i, i + 1, 1) for i in range(8)]
+    phases = [Phase(color=0, tasks=one_row),
+              Phase(color=1, tasks=[BlockTask(8, 10, 1),
+                                    BlockTask(12, 16, 1)]),
+              Phase(color=2, tasks=[])]
+    batch = DescriptorBatch.from_phases(phases, "round_robin")
+    one = batch.coalesced(1, part.lower)
+    np.testing.assert_array_equal(one.phase_ptr, [0, 1, 3, 3])
+    np.testing.assert_array_equal(one.starts, [0, 8, 12])
+    np.testing.assert_array_equal(one.stops, [8, 10, 16])
+    np.testing.assert_array_equal(one.nnz, [8, 1, 1])
+    np.testing.assert_array_equal(one.chained, [True, True, True])
+    np.testing.assert_array_equal(one.colors, [0, 1, 2])
+    two = batch.coalesced(2, part.lower)
+    np.testing.assert_array_equal(two.phase_ptr, [0, 2, 4, 4])
+    np.testing.assert_array_equal(two.starts, [0, 4, 8, 12])
+    np.testing.assert_array_equal(two.stops, [4, 8, 10, 16])
+    # Blocks wider than the parts are never split.
+    wide = DescriptorBatch.from_phases(
+        [Phase(color=0, tasks=[BlockTask(0, 16, 40)])]).coalesced(
+            4, part.lower)
+    np.testing.assert_array_equal(wide.starts, [0])
+    np.testing.assert_array_equal(wide.stops, [16])
+    with pytest.raises(ValueError, match="n_parts"):
+        batch.coalesced(0, part.lower)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    sizes=st.lists(st.lists(st.integers(1, 6), min_size=0, max_size=12),
+                   min_size=1, max_size=4),
+    gaps=st.lists(st.booleans(), min_size=48, max_size=48),
+    policy=st.sampled_from(POLICIES),
+    n_parts=st.integers(1, 5),
+)
+def test_coalesced_covers_the_same_rows(sizes, gaps, policy, n_parts):
+    """Each phase of a coalesced batch covers exactly its blocks' rows,
+    every range is a union of whole blocks, and a phase of ``r``
+    contiguous runs of blocks gets at most ``r + n_parts - 1`` ranges."""
+    phases, row, flag = [], 0, iter(gaps)
+    for ci, widths in enumerate(sizes):
+        tasks = []
+        for w in widths:
+            row += next(flag)  # an optional one-row gap breaks the run
+            tasks.append(BlockTask(row, row + w, w))
+            row += w
+        phases.append(Phase(color=ci, tasks=tasks))
+    tri = split_ldu(poisson2d(19, seed=1)).lower  # 361 rows >= 4 * 12 * 7
+    batch = DescriptorBatch.from_phases(phases, policy).coalesced(n_parts,
+                                                                  tri)
+    for pi, phase in enumerate(phases):
+        lo, hi = batch.phase_range(pi)
+        got = [(int(batch.starts[g]), int(batch.stops[g]))
+               for g in range(lo, hi)]
+        rows = sorted(r for s, e in got for r in range(s, e))
+        assert rows == sorted(r for t in phase.tasks
+                              for r in range(t.start, t.stop))
+        edges = {t.start for t in phase.tasks} | {t.stop
+                                                  for t in phase.tasks}
+        assert all(s in edges and e in edges for s, e in got)
+        runs = sum(1 for i, t in enumerate(phase.tasks)
+                   if i == 0 or t.start != phase.tasks[i - 1].stop)
+        assert hi - lo <= runs + n_parts - 1
+    np.testing.assert_array_equal(
+        batch.chained, kernels.chained_ranges(tri.indptr, tri.indices,
+                                              batch.starts, batch.stops))
+
+
+@pytest.mark.parametrize("block_size", [1, 256])
+@pytest.mark.parametrize("executor", ["threads", "processes"])
+def test_parallel_sweeps_dispatch_one_range_per_worker(block_size,
+                                                       executor):
+    """An ABMC colour is one contiguous run, so a parallel sweep hands
+    each of its phases to the workers as at most one range per worker
+    (about one kernel call each), and the serial sweeps make one call
+    per colour.  Results stay bitwise equal to Algorithm 2."""
+    a = poisson2d(24, seed=3)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(a.n_rows)
+    X = rng.standard_normal((a.n_rows, 3))
+    with build_fbmpk_operator(a, block_size=block_size, executor=executor,
+                              n_threads=2) as op:
+        for k in (4, 5):
+            np.testing.assert_array_equal(op.power(x, k),
+                                          reference_power(op, x, k))
+            stats = op.last_stats
+            assert stats.phases and all(p.n_tasks <= 2
+                                        for p in stats.phases)
+        np.testing.assert_array_equal(op.power_block(X, 4),
+                                      reference_block(op, X, 4))
+        fw, bw = op.block_phases()
+        for batch, phases in zip(op._descriptor_batches(2), (fw, bw)):
+            assert np.diff(batch.phase_ptr).max() <= 2
+            assert batch.n_phases == len(phases)
+        for segments, phases in zip(op._serial_segments(), (fw, bw)):
+            assert len(segments) == sum(1 for p in phases if p.tasks)
 
 
 @settings(deadline=None, max_examples=60)

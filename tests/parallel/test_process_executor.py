@@ -349,6 +349,36 @@ class TestSharedMemoryLifecycle:
                 assert len(shm_leaked()) == 21
         assert shm_leaked() == set()
 
+    def test_width_changes_without_a_phase_keep_old_segments(
+            self, matrices, shm_leaked):
+        """Two width changes with no phase between them (``k=1``
+        dispatches none) queue two rebinds a stopped worker has not
+        read; the older segments must stay linked until it has, so the
+        worker attaches both and the next block call is bitwise equal
+        to serial with no worker death."""
+        a = matrices["sym"]
+        serial = build_fbmpk_operator(a, block_size=BLOCK)
+        rng = np.random.default_rng(7)
+        X1 = rng.standard_normal((a.n_rows, 1))
+        X5 = rng.standard_normal((a.n_rows, 5))
+        with build_fbmpk_operator(a, block_size=BLOCK,
+                                  executor="processes",
+                                  n_threads=2) as op:
+            op.power_block(X1, 4)
+            pool = op._procs.pool
+            pids = pool.start()
+            os.kill(pids[1], signal.SIGSTOP)
+            try:
+                op.power_block(X5, 1)
+                pool.ensure_block(1)
+            finally:
+                os.kill(pids[1], signal.SIGCONT)
+            np.testing.assert_array_equal(op.power_block(X1, 4),
+                                          serial.power_block(X1, 4))
+            assert pool.start() == pids
+            assert pool.worker_liveness() == [True, True]
+        assert shm_leaked() == set()
+
     def test_arena_finalizer_runs_on_gc(self, shm_leaked):
         arena = SharedArena()
         arena.add("x", np.zeros(8))

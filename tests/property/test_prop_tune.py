@@ -19,7 +19,8 @@ from repro.tune import (
 )
 
 # Small but exercising candidate set: default, a grouping alternative,
-# the threaded executor, and the (rejectable) unfused variant.
+# the threaded executor, and the unfused variant (the search drops the
+# two that are not bit-identical by design before building them).
 PROP_CANDIDATES = [
     default_power_plan(),
     ExecutionPlan("power", {"variant": "fused", "strategy": "levels",

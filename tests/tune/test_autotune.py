@@ -1,6 +1,8 @@
 """The autotuner loop: winner selection, the bit-identity gate, cache
 amortisation (second call skips the search), trimmed-mean timing."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -18,15 +20,22 @@ from repro.tune import (
 )
 
 # A small candidate set keeping search-path tests fast: the default,
-# a serial alternative, and a threaded plan (the executor dimension).
+# a serial alternative (another assignment policy) and a threaded plan
+# (the executor dimension).  All three are bit-identical by design, so
+# the search times every one of them.
 FAST_POWER_CANDIDATES = [
     default_power_plan(),
-    ExecutionPlan("power", {"variant": "fused", "strategy": "levels",
-                            "block_size": 1, "executor": "serial"}),
+    ExecutionPlan("power", {"variant": "fused", "strategy": "abmc",
+                            "block_size": 1, "executor": "serial",
+                            "assign_policy": "round_robin"}),
     ExecutionPlan("power", {"variant": "fused", "strategy": "abmc",
                             "block_size": 1,
                             "executor": "threads", "n_threads": 2}),
 ]
+LEVELS_PLAN = ExecutionPlan("power", {"variant": "fused",
+                                      "strategy": "levels",
+                                      "block_size": 1,
+                                      "executor": "serial"})
 
 
 def _tune(a, k=4, **kw):
@@ -76,18 +85,126 @@ def test_winner_is_bit_identical_to_default(grid, rng):
         ref.close()
 
 
-def test_non_identical_candidates_are_rejected(grid):
-    unfused = ExecutionPlan("power", {"variant": "unfused",
-                                      "strategy": "none", "block_size": 1,
-                                      "executor": "serial"})
-    op, res = _tune(grid, candidates=[default_power_plan(), unfused])
+def test_non_identical_candidates_are_rejected(grid, monkeypatch):
+    """The three-probe gate still runs on plans that are identical by
+    design: a candidate whose output differs from the default's (here a
+    threaded run whose result is nudged by one ulp) is caught
+    empirically and cannot win."""
+    from repro.core import FBMPKOperator
+
+    real_power = FBMPKOperator.power
+
+    def nudged(self, x, k, **kw):
+        y = real_power(self, x, k, **kw)
+        return np.nextafter(y, np.inf) if self.executor == "threads" else y
+
+    monkeypatch.setattr(FBMPKOperator, "power", nudged)
+    threads = FAST_POWER_CANDIDATES[2]
+    with obs.Telemetry() as tel:
+        op, res = _tune(grid, candidates=[default_power_plan(), threads])
+    counters = {name: c["value"] for name, c
+                in tel.metrics.snapshot()["counters"].items()}
     try:
-        trial = next(t for t in res.trials if t.plan == unfused)
-        # The unfused variant's summation order differs; the gate must
-        # catch that empirically and keep it from winning.
+        trial = next(t for t in res.trials if t.plan == threads)
         assert trial.identical is False
         assert not trial.accepted
         assert res.plan == default_power_plan()
+        assert counters["tune.rejected_not_identical"] == 1
+    finally:
+        op.close()
+
+
+def test_ineligible_candidates_are_never_built(grid, monkeypatch):
+    """A plan that is not bit-identical by design is dropped before the
+    search builds or times anything: it never reaches
+    ``instantiate_power``, never appears among the trials, does not
+    count against ``max_candidates``, and is counted as skipped."""
+    from repro.tune import autotuner, plan_is_bit_identical_by_design
+
+    built = []
+    real = autotuner.instantiate_power
+
+    def spy(plan, a, **kw):
+        built.append(plan)
+        return real(plan, a, **kw)
+
+    monkeypatch.setattr(autotuner, "instantiate_power", spy)
+    plans = power_candidates()
+    n_skipped = sum(not plan_is_bit_identical_by_design(p) for p in plans)
+    assert n_skipped > 0
+    with obs.Telemetry() as tel:
+        op, res = _tune(grid, candidates=plans, max_candidates=3)
+    counters = {name: c["value"] for name, c
+                in tel.metrics.snapshot()["counters"].items()}
+    try:
+        assert built and all(plan_is_bit_identical_by_design(p)
+                             for p in built)
+        assert len(res.trials) == 3
+        assert all(plan_is_bit_identical_by_design(t.plan)
+                   for t in res.trials)
+        assert counters["tune.skipped_not_by_design"] == n_skipped
+        assert counters["tune.candidates"] == 3
+    finally:
+        op.close()
+
+
+def test_only_ineligible_candidates_is_an_error(grid):
+    with pytest.raises(RuntimeError, match="bit-identical by design"):
+        _tune(grid, candidates=[LEVELS_PLAN])
+
+
+def test_operator_built_once_per_arithmetic_plan(grid, monkeypatch):
+    """Candidates that differ only in execution knobs share one built
+    operator; the search re-points it between trials."""
+    from repro.tune import autotuner
+
+    built = []
+    real = autotuner.instantiate_power
+
+    def spy(plan, a, **kw):
+        built.append(plan)
+        return real(plan, a, **kw)
+
+    monkeypatch.setattr(autotuner, "instantiate_power", spy)
+    candidates = FAST_POWER_CANDIDATES + [PROCESSES_PLAN]
+    op, res = _tune(grid, candidates=candidates)
+    try:
+        assert len(res.trials) == len(candidates)
+        assert all(t.error is None for t in res.trials)
+        assert len(built) == 1
+        assert built[0].params.get("executor", "serial") == "serial"
+    finally:
+        op.close()
+
+
+def test_returned_winner_holds_no_pools(grid, monkeypatch):
+    """The operator the search returns carries the winner's executor
+    configuration and no pool left over from the trials: no live worker
+    thread, no worker process, no shared-memory segment."""
+    import threading
+
+    from repro.parallel.procexec import SHM_PREFIX
+
+    def shm():
+        try:
+            return {f for f in os.listdir("/dev/shm")
+                    if f.startswith(SHM_PREFIX)}
+        except FileNotFoundError:
+            return set()
+
+    before = shm()
+    # The processes plan runs last and is scripted to lose, so the
+    # serial default wins after every pool has been started.
+    _scripted_times(monkeypatch, [1.0, 2.0, 2.0, 2.0])
+    op, res = _tune(grid, candidates=FAST_POWER_CANDIDATES
+                    + [PROCESSES_PLAN])
+    try:
+        assert res.plan == default_power_plan()
+        assert op.executor == "serial"
+        assert op._threaded is None and op._procs is None
+        assert shm() == before
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("fbmpk") and t.is_alive()]
     finally:
         op.close()
 
@@ -209,23 +326,38 @@ def test_inefficient_trial_not_accepted():
 
 
 def test_broken_candidate_recorded_not_fatal(grid):
-    broken = ExecutionPlan("power", {"variant": "fused",
-                                     "strategy": "no-such-strategy",
-                                     "block_size": 1, "executor": "serial"})
-    op, res = _tune(grid, candidates=[default_power_plan(), broken])
+    """Eligible plans that fail on this host are recorded as errored
+    trials: one whose executor cannot be configured, and one whose
+    worker pool cannot start.  The search carries on and the default
+    wins."""
+    no_executor = ExecutionPlan("power", {
+        "variant": "fused", "strategy": "abmc", "block_size": 1,
+        "executor": "no-such-executor"})
+    no_pool = ExecutionPlan("power", {
+        "variant": "fused", "strategy": "abmc", "block_size": 1,
+        "executor": "threads", "n_threads": 0})
+    op, res = _tune(grid, candidates=[default_power_plan(), no_executor,
+                                      no_pool])
     try:
-        trial = next(t for t in res.trials if t.plan == broken)
-        assert trial.error is not None
+        for broken in (no_executor, no_pool):
+            trial = next(t for t in res.trials if t.plan == broken)
+            assert trial.error is not None and "ValueError" in trial.error
+            assert not trial.accepted
         assert res.plan == default_power_plan()
+        assert op.executor == "serial"
     finally:
         op.close()
 
 
 def test_full_candidate_space_runs(grid):
-    """The real (untrimmed) enumeration must survive end to end."""
+    """The real (untrimmed) enumeration must survive end to end, timing
+    every candidate that is bit-identical by design."""
+    from repro.tune import plan_is_bit_identical_by_design
+
     op, res = autotune_power(grid, k=3, cache=False, repeats=1, warmup=0)
     try:
-        assert len(res.trials) == len(power_candidates())
+        assert len(res.trials) == sum(
+            plan_is_bit_identical_by_design(p) for p in power_candidates())
         assert res.trials[0].accepted
     finally:
         op.close()

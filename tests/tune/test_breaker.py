@@ -23,10 +23,13 @@ from repro.tune import (
     fingerprint_matrix,
 )
 
+# The default and one more eligible plan (another assignment policy),
+# so a budget that expires after candidate 0 has something to skip.
 FAST_CANDIDATES = [
     default_power_plan(),
-    ExecutionPlan("power", {"variant": "fused", "strategy": "levels",
-                            "block_size": 1, "executor": "serial"}),
+    ExecutionPlan("power", {"variant": "fused", "strategy": "abmc",
+                            "block_size": 1, "executor": "serial",
+                            "assign_policy": "round_robin"}),
 ]
 
 

@@ -89,6 +89,9 @@ def test_invalidate(tmp_path, grid):
     json.dumps({"schema_version": 1, "fingerprint": {},
                 "plan": {"schema_version": 1, "kind": "power",
                          "params": {}}}),  # old envelope version
+    json.dumps({"schema_version": 2, "fingerprint": {},
+                "plan": {"schema_version": 1, "kind": "power",
+                         "params": {}}}),  # previous envelope version
     json.dumps({"schema_version": CACHE_SCHEMA_VERSION, "fingerprint": {},
                 "plan": {"schema_version": 1, "kind": "power",
                          "params": {}}}),  # fingerprint mismatch
@@ -182,7 +185,7 @@ def test_v1_artefact_retunes(tmp_path, grid, rng):
         assert res.source == "search"
         assert res.plan == default_power_plan()
         stored = json.loads(cache.entry_path(fp).read_text())
-        assert stored["schema_version"] == CACHE_SCHEMA_VERSION == 2
+        assert stored["schema_version"] == CACHE_SCHEMA_VERSION == 3
         assert "backend" not in stored["plan"]["params"]
         x = rng.standard_normal(grid.n_rows)
         assert np.array_equal(tuned.power(x, 4), op.power(x, 4))
