@@ -178,7 +178,6 @@ def cmd_power(args) -> int:
         args.threads = args.workers
     pin_workers = {"auto": None, "on": True, "off": False}[
         getattr(args, "pin_workers", "auto")]
-    claim_chunk = getattr(args, "claim_chunk", None)
     if args.operator:
         op = FBMPKOperator.load(args.operator)
         n = op.n
@@ -195,7 +194,6 @@ def cmd_power(args) -> int:
                                   n_threads=args.threads,
                                   assign_policy=args.policy,
                                   on_failure=args.on_failure,
-                                  claim_chunk=claim_chunk,
                                   pin_workers=pin_workers)
         elif getattr(args, "tuned", False):
             from . import tune
@@ -211,7 +209,6 @@ def cmd_power(args) -> int:
                                       n_threads=args.threads,
                                       assign_policy=args.policy,
                                       on_failure=args.on_failure,
-                                      claim_chunk=claim_chunk,
                                       pin_workers=pin_workers)
         counter = KernelCounter()
         y = op.power(x, args.k, counter=counter,
@@ -487,10 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default="lpt",
                    choices=["round_robin", "lpt", "dynamic"],
                    help="block-to-thread assignment policy")
-    p.add_argument("--claim-chunk", type=int, default=None,
-                   help="blocks a worker claims per work-stealing "
-                        "cursor round-trip in the batched dispatch "
-                        "path (default: auto-sized per phase)")
     p.add_argument("--pin-workers", default="auto",
                    choices=["auto", "on", "off"],
                    help="deterministic best-effort CPU pinning for "

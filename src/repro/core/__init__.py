@@ -11,7 +11,6 @@ from .expr import A, MatrixSymbol, SSpMVExpression, X, from_coefficients
 from .fbmpk import (
     FBMPKOperator,
     KernelCounter,
-    LevelsBlockedOperator,
     SweepGroups,
     build_fbmpk_operator,
     check_sweep_groups,
@@ -45,7 +44,6 @@ __all__ = [
     "from_coefficients",
     "FBMPKOperator",
     "KernelCounter",
-    "LevelsBlockedOperator",
     "SweepGroups",
     "build_fbmpk_operator",
     "check_sweep_groups",

@@ -27,10 +27,11 @@ per row plus one, and its values index ``indices``/``data`` directly,
 so a contiguous row range of a triangle is just a slice of its
 ``indptr`` (see :func:`row_range`) and needs no copying.
 
-``power_block`` runs the same calls over ``2m`` interleaved columns
-(even/odd per right-hand side); each column follows the same per-row
-order as a single vector, so batched columns are bitwise equal to
-:meth:`~repro.core.fbmpk.FBMPKOperator.power`.
+Every sweep kernel, the levels-blocked :func:`blocked` included, runs
+over ``2m`` interleaved columns (even/odd per right-hand side): ``power``
+is the ``m = 1`` case and ``power_block`` any wider one.  Each column
+follows the same per-row order as a single vector, so batched columns
+are bitwise equal to :meth:`~repro.core.fbmpk.FBMPKOperator.power`.
 
 Rows of one call must not depend on each other unless the caller says
 so with ``chained=True`` (ABMC blocks of more than one row): the kernel
@@ -66,6 +67,7 @@ __all__ = [
     "backward",
     "tail",
     "blocked",
+    "run_range",
 ]
 
 #: ``(indptr, indices, data)`` of the rows one kernel call updates.
@@ -208,22 +210,25 @@ def blocked(lower: Tri, upper: Tri, rows: slice, XY: np.ndarray,
             d: np.ndarray, op: int) -> None:
     """One power of the levels-blocked wavefront on ``rows``.
 
-    Odd powers read BtB slot 0 and write slot 1, even powers the
-    reverse.  Each op reproduces the serial stage that produces the same
-    power: ``OP_ODD`` seeds the left-to-right ``L`` sum with
-    ``U x + d x`` (forward stage), ``OP_EVEN`` seeds the ``U`` sum with
-    ``L x + d x`` (backward stage), and ``OP_FINAL_ODD`` forms
-    ``(L x + U x) + d x`` (tail).  ``XY`` is ``(n, 2)``, ``d`` is 1-D,
-    and both triangles' sums run from zero except where seeded."""
+    ``XY`` is the ``(n, 2m)`` interleaved buffer and ``d`` the ``(n, 1)``
+    diagonal.  Odd powers read the even columns (``0::2``) and write the
+    odd ones (``1::2``), even powers the reverse.  Each op reproduces the
+    serial stage that produces the same power: ``OP_ODD`` seeds the
+    left-to-right ``L`` sum with ``U x + d x`` (forward stage),
+    ``OP_EVEN`` seeds the ``U`` sum with ``L x + d x`` (backward stage),
+    and ``OP_FINAL_ODD`` forms ``(L x + U x) + d x`` (tail).  Both
+    triangles' sums run from zero except where seeded, so every one of
+    the ``m`` right-hand sides follows the per-row order of a single
+    vector."""
     rs, ws = (1, 0) if op == OP_EVEN else (0, 1)
-    x = XY[rows, rs]
-    W = np.zeros((x.shape[0], 2))
+    x = XY[rows, rs::2]
+    W = np.zeros((x.shape[0], XY.shape[1]))
     if op == OP_FINAL_ODD:
         accumulate(upper, XY, W)
-        u = W[:, rs].copy()
+        u = W[:, rs::2].copy()
         W[:] = 0.0
         accumulate(lower, XY, W)
-        XY[rows, ws] = W[:, rs] + u + d[rows] * x
+        XY[rows, ws::2] = W[:, rs::2] + u + d[rows] * x
         return
     if op == OP_ODD:
         first, second = upper, lower
@@ -232,6 +237,27 @@ def blocked(lower: Tri, upper: Tri, rows: slice, XY: np.ndarray,
     else:
         raise ValueError(f"unknown blocked op {op!r}")
     accumulate(first, XY, W)
-    W[:, rs] += d[rows] * x
-    accumulate(second, XY, W)  # the other column is discarded
-    XY[rows, ws] = W[:, rs]
+    W[:, rs::2] += d[rows] * x
+    accumulate(second, XY, W)  # the other columns are discarded
+    XY[rows, ws::2] = W[:, rs::2]
+
+
+def run_range(sweep: str, lower, upper, start: int, stop: int,
+              XY: np.ndarray, tmp, d: np.ndarray, op: int = -1,
+              chained: bool = False) -> None:
+    """Rows ``[start, stop)`` of one ``sweep`` (``"forward"``,
+    ``"backward"`` or ``"blocked"``) over the CSR triangles
+    ``lower``/``upper``: the one descriptor body the threads executor,
+    the process workers and the serial wavefront share.  ``op`` is a
+    blocked descriptor's update kind, ``chained`` a forward or backward
+    descriptor's flag; ``tmp`` is unused by ``"blocked"``."""
+    rows = slice(start, stop)
+    if sweep == "forward":
+        forward(row_range(lower, start, stop), rows, XY, tmp, d, chained)
+    elif sweep == "backward":
+        backward(row_range(upper, start, stop), rows, XY, tmp, chained)
+    elif sweep == "blocked":
+        blocked(row_range(lower, start, stop), row_range(upper, start, stop),
+                rows, XY, d, op)
+    else:
+        raise ValueError(f"unknown sweep {sweep!r}")

@@ -27,8 +27,9 @@ one-row blocks that would be one kernel call per row, and Python
 dispatch would dominate the sweep.  :meth:`DescriptorBatch.coalesced`
 merges each phase's contiguous same-colour blocks into at most
 ``n_workers`` row ranges, balanced by work and cut only at block
-boundaries, so a worker makes about one kernel call per phase; with one
-part the same packer yields the serial sweeps' one segment per colour.
+boundaries or between independent rows, so a worker makes about one
+kernel call per phase; with one part the same packer yields the serial
+sweeps' one segment per colour.
 
 Bit-identity is preserved by construction: descriptors are only ever
 reordered *within* a phase (colour), and same-colour blocks touch
@@ -217,10 +218,12 @@ class DescriptorBatch:
         runs of blocks that are contiguous in row order, further cut at
         the block boundaries nearest the ``n_parts - 1`` points that
         split the phase's work (stored entries plus rows) evenly.  A
-        phase of ``r`` runs gets at most ``r + n_parts - 1`` ranges; an
-        ABMC colour is one contiguous run, so its phase becomes at most
-        ``n_parts`` descriptors — about one kernel call per worker
-        instead of one per block.
+        block whose rows do not depend on each other under ``tri`` (not
+        chained) counts as one block per row here, so it can be cut
+        anywhere.  A phase of ``r`` runs gets at most
+        ``r + n_parts - 1`` ranges; an ABMC colour is one contiguous
+        run, so its phase becomes at most ``n_parts`` descriptors —
+        about one kernel call per worker instead of one per block.
 
         Same-colour blocks share no entries, so a merged range's rows
         depend on each other only inside its blocks; the :attr:`chained`
@@ -230,14 +233,15 @@ class DescriptorBatch:
         first)."""
         if n_parts < 1:
             raise ValueError("n_parts must be positive")
+        src = self._split_unchained(tri) if n_parts > 1 else self
         starts = [np.zeros(0, dtype=np.int64)]
         stops = [np.zeros(0, dtype=np.int64)]
         nnzs = [np.zeros(0, dtype=np.int64)]
         ptr = [0]
-        for pi in range(self.n_phases):
-            lo, hi = self.phase_range(pi)
-            order = np.argsort(self.starts[lo:hi], kind="stable") + lo
-            s, e, z = self.starts[order], self.stops[order], self.nnz[order]
+        for pi in range(src.n_phases):
+            lo, hi = src.phase_range(pi)
+            order = np.argsort(src.starts[lo:hi], kind="stable") + lo
+            s, e, z = src.starts[order], src.stops[order], src.nnz[order]
             n = s.shape[0]
             if n:
                 # Block boundaries b = 1 .. n-1 where a range may start:
@@ -279,6 +283,29 @@ class DescriptorBatch:
                                            starts_a, stops_a),
         )
 
+    def _split_unchained(self, tri) -> "DescriptorBatch":
+        """This batch with every multi-row block whose rows are
+        independent under ``tri`` cut into one-row blocks (phases and
+        other blocks unchanged), so :meth:`coalesced` may cut inside
+        it."""
+        lens = self.stops - self.starts
+        split = (lens > 1) & ~kernels.chained_ranges(
+            tri.indptr, tri.indices, self.starts, self.stops)
+        pieces = np.where(split, lens, 1)
+        block = np.repeat(np.arange(lens.shape[0]), pieces)
+        row = np.arange(block.shape[0]) \
+            - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        whole = ~split[block]
+        starts = np.where(whole, self.starts[block],
+                          self.starts[block] + row)
+        stops = np.where(whole, self.stops[block], starts + 1)
+        nnz = np.where(whole, self.nnz[block],
+                       tri.indptr[stops] - tri.indptr[starts])
+        ends = np.concatenate(([0], np.cumsum(pieces)))
+        return DescriptorBatch(starts=starts, stops=stops, nnz=nnz,
+                               phase_ptr=ends[self.phase_ptr],
+                               colors=self.colors, policy=self.policy)
+
     def pack_rows(self) -> np.ndarray:
         """The int64 plan table shipped to workers: ``(2, n_blocks)``
         (row 0 = starts, row 1 = stops), or ``(4, n_blocks)`` when the
@@ -295,10 +322,12 @@ class DescriptorBatch:
 
 
 def default_claim_chunk(n_blocks: int, n_workers: int) -> int:
-    """Blocks claimed per cursor round-trip when the caller does not
-    pin a chunk size: ``n_blocks / (4 * n_workers)``, floored at 1 —
-    every worker gets ~4 steals per phase, enough to rebalance
-    stragglers while keeping lock traffic negligible."""
+    """Blocks a worker claims per cursor round-trip in a phase.
+
+    ``n_blocks / (4 * n_workers)``, floored at 1: every worker gets ~4
+    steals per phase, enough to rebalance stragglers while keeping lock
+    traffic negligible.  A coalesced batch has at most one descriptor
+    per worker per phase, so its chunk is 1."""
     if n_workers < 1:
         raise ValueError("n_workers must be positive")
     return max(1, n_blocks // (4 * n_workers))

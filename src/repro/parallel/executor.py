@@ -264,8 +264,7 @@ class ThreadedPhaseExecutor:
     def __init__(self, n_threads: Optional[int] = None,
                  policy: str = "lpt",
                  on_failure: str = "raise",
-                 hang_timeout: Optional[float] = None,
-                 claim_chunk: Optional[int] = None) -> None:
+                 hang_timeout: Optional[float] = None) -> None:
         if n_threads is None:
             n_threads = os.cpu_count() or 1
         if n_threads < 1:
@@ -274,18 +273,17 @@ class ThreadedPhaseExecutor:
             raise ValueError(f"unknown on_failure policy {on_failure!r}")
         if hang_timeout is not None and hang_timeout <= 0:
             raise ValueError("hang_timeout must be positive (or None)")
-        if claim_chunk is not None and claim_chunk < 1:
-            raise ValueError("claim_chunk must be positive (or None)")
         self.n_threads = int(n_threads)
         self.policy = policy
         self.on_failure = on_failure
         self.hang_timeout = None if hang_timeout is None \
             else float(hang_timeout)
-        #: Blocks claimed per cursor round-trip in :meth:`run_batched`
-        #: (None — the default — uses the per-phase heuristic of
-        #: :func:`~repro.parallel.dispatch.default_claim_chunk`).
-        self.claim_chunk = None if claim_chunk is None else int(claim_chunk)
         self._pool: Optional[ThreadPoolExecutor] = None
+
+    @property
+    def n_workers(self) -> int:
+        """The worker count (the process executor's name for it)."""
+        return self.n_threads
 
     # -- lifecycle ------------------------------------------------------
     def _ensure_pool(self) -> ThreadPoolExecutor:
@@ -406,7 +404,6 @@ class ThreadedPhaseExecutor:
         run_desc: DescRunner,
         stats: Optional[ExecutionStats] = None,
         reset: Optional[Callable[[], None]] = None,
-        claim_chunk: Optional[int] = None,
     ) -> ExecutionStats:
         """Execute a :class:`DescriptorBatch` with one pool submission
         per worker per phase and a barrier after every phase.
@@ -427,8 +424,6 @@ class ThreadedPhaseExecutor:
         snap = (len(stats.phases), stats.barriers,
                 list(stats.thread_busy_s), stats.enqueues, stats.steals)
         pool = self._ensure_pool()
-        if claim_chunk is None:
-            claim_chunk = self.claim_chunk
         cursor = ThreadCursor()
         steals = [0] * self.n_threads
         for pi in range(batch.n_phases):
@@ -441,8 +436,7 @@ class ThreadedPhaseExecutor:
                 failure: Optional[BaseException] = None
                 hung = False
                 if hi > lo:
-                    chunk = claim_chunk if claim_chunk is not None \
-                        else default_claim_chunk(hi - lo, self.n_threads)
+                    chunk = default_claim_chunk(hi - lo, self.n_threads)
                     cursor.reset(lo)
                     futures = [
                         pool.submit(self._run_claim_loop, batch, cursor,

@@ -126,13 +126,13 @@ __all__ = [
 SHM_PREFIX = "repro-shm-"
 
 #: The named kernels a worker can execute.  ``forward``/``backward`` are
-#: the vector (BtB pair) sweeps of ``power``; the ``*_block`` variants
-#: operate on the interleaved ``(n, 2m)`` block buffer of
-#: ``power_block``; ``blocked`` is the levels-blocked wavefront update,
-#: whose per-descriptor op tag (row 2 of the plan table) selects the
-#: update kind.
+#: the pipeline's stages and ``blocked`` the levels-blocked wavefront
+#: update, whose per-descriptor op tag (row 2 of the plan table) selects
+#: the update kind.  The plain names run over the vector (BtB pair)
+#: buffers of ``power``, the ``*_block`` variants over the interleaved
+#: ``(n, 2m)`` block buffers of ``power_block``.
 SWEEPS = ("forward", "backward", "forward_block", "backward_block",
-          "blocked")
+          "blocked", "blocked_block")
 
 _SegmentSpec = Tuple[str, str, Tuple[int, ...]]  # (shm name, dtype, shape)
 
@@ -285,7 +285,6 @@ class _Views:
                                check=False)
         self.upper = CSRMatrix(u_indptr, u_indices, u_data, (n, n),
                                check=False)
-        self.diag = diag
         self.d2 = diag[:, None]
         self.xy2 = xy.reshape(-1, 2)
         self.tmp2 = tmp[:, None]
@@ -300,27 +299,18 @@ class _Views:
     # -- sweep kernels --------------------------------------------------
     def run(self, sweep: str, start: int, stop: int, op: int = -1,
             chained: bool = False) -> None:
-        """Execute one block task with the :mod:`repro.core.kernels`
-        function the sweep names.  ``op`` is the per-descriptor update
-        kind of the ``"blocked"`` sweep; ``chained`` marks a block whose
-        rows depend on each other (colour-phase sweeps)."""
-        r = slice(start, stop)
-        if sweep == "blocked":
-            kernels.blocked(kernels.row_range(self.lower, start, stop),
-                            kernels.row_range(self.upper, start, stop),
-                            r, self.xy2, self.diag, op)
-        elif sweep in ("forward", "forward_block"):
-            XY, tmp = (self.xy2, self.tmp2) if sweep == "forward" \
-                else (self.xyb, self.tmpb)
-            kernels.forward(kernels.row_range(self.lower, start, stop), r,
-                            XY, tmp, self.d2, chained)
-        elif sweep in ("backward", "backward_block"):
-            XY, tmp = (self.xy2, self.tmp2) if sweep == "backward" \
-                else (self.xyb, self.tmpb)
-            kernels.backward(kernels.row_range(self.upper, start, stop), r,
-                             XY, tmp, chained)
-        else:  # pragma: no cover - dispatch validates sweeps
-            raise ValueError(f"unknown sweep {sweep!r}")
+        """Execute one block task with :func:`repro.core.kernels.run_range`
+        over the vector buffers, or the block buffers for a ``*_block``
+        sweep.  ``op`` is the per-descriptor update kind of the
+        ``"blocked"`` sweeps; ``chained`` marks a block whose rows depend
+        on each other (colour-phase sweeps)."""
+        if sweep.endswith("_block"):
+            kernels.run_range(sweep[:-len("_block")], self.lower,
+                              self.upper, start, stop, self.xyb, self.tmpb,
+                              self.d2, op, chained)
+        else:
+            kernels.run_range(sweep, self.lower, self.upper, start, stop,
+                              self.xy2, self.tmp2, self.d2, op, chained)
 
 
 class _AttachedSegments:
@@ -567,11 +557,6 @@ class ProcessPhaseExecutor:
         block task (test instrumentation / in-worker chaos); the
         standard ``"executor.task"`` chaos hook additionally fires in
         the parent at dispatch time.
-    claim_chunk:
-        Blocks a worker claims per cursor round-trip (None — the
-        default — picks :func:`~repro.parallel.dispatch.default_claim_chunk`
-        per phase).  The tuner searches this jointly with executor and
-        block size.
     pin_workers:
         Deterministic CPU pinning for workers (``os.sched_setaffinity``,
         best-effort).  None (default) pins only when at least two CPUs
@@ -583,7 +568,6 @@ class ProcessPhaseExecutor:
                  mp_context: Optional[str] = None,
                  task_hook=None,
                  hang_timeout: Optional[float] = None,
-                 claim_chunk: Optional[int] = None,
                  pin_workers: Optional[bool] = None) -> None:
         if n_workers is None:
             n_workers = os.cpu_count() or 1
@@ -593,8 +577,6 @@ class ProcessPhaseExecutor:
             raise ValueError(f"unknown on_failure policy {on_failure!r}")
         if hang_timeout is not None and hang_timeout <= 0:
             raise ValueError("hang_timeout must be positive (or None)")
-        if claim_chunk is not None and claim_chunk < 1:
-            raise ValueError("claim_chunk must be >= 1 (or None)")
         _picklable_hook_check(task_hook)
         self.n_workers = int(n_workers)
         self.policy = policy
@@ -602,7 +584,6 @@ class ProcessPhaseExecutor:
         self.task_hook = task_hook
         self.hang_timeout = None if hang_timeout is None \
             else float(hang_timeout)
-        self.claim_chunk = None if claim_chunk is None else int(claim_chunk)
         self.pin_workers = pin_workers
         if mp_context is None:
             mp_context = ("fork" if "fork" in mp.get_all_start_methods()
@@ -1021,8 +1002,7 @@ class ProcessPhaseExecutor:
             return PhaseExecutionError(
                 "phase barrier poisoned: claim lock held by a dead "
                 "worker", phase_index=pi, color=color)
-        chunk = self.claim_chunk if self.claim_chunk is not None \
-            else default_claim_chunk(hi - lo, self.n_workers)
+        chunk = default_claim_chunk(hi - lo, self.n_workers)
         busy0 = self._wbusy.copy()
         steal0 = int(self._wsteal.sum())
         for q in pool.inqs:

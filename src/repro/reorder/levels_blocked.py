@@ -45,7 +45,7 @@ powers (backward stage), and ``(l + u) + dx`` forms a final odd power
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,13 +85,16 @@ class LevelBlocking:
     partition; ``neighbours[b]`` is the sorted array of blocks reachable
     from ``b`` through any stored entry of ``L`` or ``U`` in either
     direction, *including* ``b`` itself; ``nnz[b]`` is the combined
-    ``L + U`` entry count of the block's rows (the load-balance weight).
+    ``L + U`` entry count of the block's rows (the load-balance weight);
+    ``block_rows`` is the rows-per-block knob the blocking was built
+    with, all that a saved operator needs to rebuild it.
     """
 
     blocks: Tuple[np.ndarray, ...]
     block_of: np.ndarray
     neighbours: Tuple[np.ndarray, ...]
     nnz: np.ndarray
+    block_rows: int = 1
 
     @property
     def n_blocks(self) -> int:
@@ -117,7 +120,8 @@ class BlockedSchedule:
 
 
 def build_level_blocking(
-    lower: CSRMatrix, upper: CSRMatrix, block_rows: int = 256
+    lower: CSRMatrix, upper: CSRMatrix, block_rows: int = 256,
+    levels: Optional[Sequence[np.ndarray]] = None,
 ) -> LevelBlocking:
     """Partition rows into cache-sized blocks of consecutive levels.
 
@@ -126,13 +130,17 @@ def build_level_blocking(
     ``block_rows`` rows, so ``block_rows`` is the cache-residency knob:
     small blocks maximise reuse but multiply barriers, large blocks the
     reverse.  ``block_rows=1`` degenerates to one block per level.
+    ``levels`` takes the level sets of ``lower`` when the caller already
+    has them (a levels operator's forward sweep groups), sparing their
+    recomputation.
     """
     if block_rows < 1:
         raise ValueError("block_rows must be positive")
     n = lower.n_rows
     if upper.n_rows != n:
         raise ValueError("lower/upper dimensions disagree")
-    groups = levels_to_groups(compute_levels(lower, "forward"))
+    groups = levels_to_groups(compute_levels(lower, "forward")) \
+        if levels is None else levels
     blocks: List[np.ndarray] = []
     acc: List[np.ndarray] = []
     acc_rows = 0
@@ -169,7 +177,8 @@ def build_level_blocking(
                        for part in np.split(pairs, boundaries)) if nb \
         else ()
     return LevelBlocking(blocks=tuple(blocks), block_of=block_of,
-                         neighbours=neighbours, nnz=nnz)
+                         neighbours=neighbours, nnz=nnz,
+                         block_rows=int(block_rows))
 
 
 def build_blocked_schedule(blocking: LevelBlocking,

@@ -15,8 +15,8 @@ seed, so the column count changes nothing (:mod:`repro.core.kernels`).
 A batched client therefore receives *the identical bits* an unbatched
 serial call would have produced; the differential suite in
 ``tests/property`` proves it across dtypes, k values and executors.
-Entries without ``power_block`` (``can_batch`` False: levels-blocked and
-unfused operators) are served per-request inside the same queue
+Entries without ``power_block`` (``can_batch`` False: the unfused
+operator) are served per-request inside the same queue
 machinery instead.
 
 Aliasing contract: responses are handed out as **owned copies**

@@ -70,12 +70,14 @@ class ResidentOperator:
         """Whether stacked ``power_block`` sweeps are bitwise-identical
         to per-request ``power`` calls on this operator.
 
-        True for every :class:`FBMPKOperator`: each compiled sweep call
-        sums every one of its ``2m`` columns in the row order of a
-        single vector (:mod:`repro.core.kernels`), and the differential
-        suite proves it per executor.  Other operators (the
-        levels-blocked and unfused ones) have no ``power_block`` at all
-        — those entries are served per-request instead of batched.
+        True for every :class:`FBMPKOperator`, whatever its schedule
+        (ABMC, levels or the levels-blocked wavefront) and executor:
+        each compiled sweep call sums every one of its ``2m`` columns in
+        the row order of a single vector (:mod:`repro.core.kernels`),
+        and the differential suite proves it per schedule and executor.
+        Other operators (the tuner's unfused adapter) have no
+        ``power_block`` at all — those entries are served per-request
+        instead of batched.
         """
         return isinstance(self.op, FBMPKOperator)
 

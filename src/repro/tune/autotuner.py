@@ -16,7 +16,7 @@ going to the default — so the tuned path can never be
 slower-by-selection or numerically different from the untuned one.
 
 Candidates that differ only in execution knobs (executor, worker count,
-assignment policy, claim chunk, pinning) share one built operator: the
+assignment policy, pinning) share one built operator: the
 search builds it once and re-points it between trials with
 :meth:`~repro.core.fbmpk.FBMPKOperator.configure_executor`, which shuts
 down the previous trial's worker pool.  The returned operator carries

@@ -82,15 +82,14 @@ _SPMV_KERNELS_BY_DESIGN = frozenset({"vectorised", "blocked"})
 #: Power-plan knobs that only reschedule independent row updates and so
 #: cannot change a result bit: the threaded and process executors are
 #: bitwise-equal to serial by the differential test layer, for the
-#: *same* built operator, and ``claim_chunk``/``pin_workers`` only
-#: change the claim granularity and worker placement of the batched
-#: dispatch path (per-colour range results are order-independent).
+#: *same* built operator, and ``pin_workers`` only changes the worker
+#: placement of the batched dispatch path (per-colour range results are
+#: order-independent).
 #: Everything else — variant, and notably ``strategy`` / ``block_size``,
 #: whose grouping permutes the matrix and therefore the per-row
 #: accumulation order — changes the floating-point arithmetic.
 _POWER_EXECUTION_ONLY_KEYS = frozenset(
-    {"executor", "n_threads", "assign_policy", "claim_chunk",
-     "pin_workers"})
+    {"executor", "n_threads", "assign_policy", "pin_workers"})
 
 
 def plan_is_bit_identical_by_design(plan: ExecutionPlan) -> bool:
@@ -133,15 +132,13 @@ def power_arithmetic_key(plan: ExecutionPlan) -> Tuple:
 def configure_power(op, plan: ExecutionPlan):
     """Re-point a built :class:`~repro.core.fbmpk.FBMPKOperator` at
     ``plan``'s execution knobs (executor, worker count, assignment
-    policy, claim chunk, pinning), keeping its preprocessing; returns
-    ``op``.  Any running worker pool is shut down."""
+    policy, pinning), keeping its preprocessing; returns ``op``.  Any
+    running worker pool is shut down."""
     params = plan.params
-    claim_chunk = params.get("claim_chunk")
     return op.configure_executor(
         executor=params.get("executor", "serial"),
         n_threads=params.get("n_threads"),
         assign_policy=params.get("assign_policy", "lpt"),
-        claim_chunk=None if claim_chunk is None else int(claim_chunk),
         pin_workers=params.get("pin_workers"))
 
 
@@ -199,10 +196,6 @@ def power_candidates(
 
     ``thread_counts=None`` probes :func:`_default_thread_counts`; pass
     an explicit sequence to widen or suppress threaded candidates.
-    There is no claim-chunk dimension: a parallel sweep dispatches at
-    most one row range per worker per phase
-    (:meth:`repro.parallel.dispatch.DescriptorBatch.coalesced`), so
-    every chunk size would hand out the same ranges.
     """
     if thread_counts is None:
         thread_counts = _default_thread_counts()
@@ -319,21 +312,13 @@ def instantiate_power(
     executor = params.get("executor", "serial")
     n_threads = params.get("n_threads")
     assign_policy = params.get("assign_policy", "lpt")
-    claim_chunk = params.get("claim_chunk")
     pin_workers = params.get("pin_workers")
-    if claim_chunk is not None:
-        claim_chunk = int(claim_chunk)
-    # Saved-operator artefacts only exist for FBMPKOperator winners;
-    # a levels-blocked plan always rebuilds (its preprocessing is a
-    # single cheap level sweep, not the ABMC colouring the artefact
-    # amortises).
-    if operator_path is not None \
-            and params.get("strategy") != "levels-blocked":
+    if operator_path is not None:
         try:
             return FBMPKOperator.load(
                 operator_path, executor=executor,
                 n_threads=n_threads, assign_policy=assign_policy,
-                claim_chunk=claim_chunk, pin_workers=pin_workers)
+                pin_workers=pin_workers)
         except Exception:
             pass  # artefact unusable: rebuild below
     return build_fbmpk_operator(
@@ -343,7 +328,6 @@ def instantiate_power(
         executor=executor,
         n_threads=n_threads,
         assign_policy=assign_policy,
-        claim_chunk=claim_chunk,
         pin_workers=pin_workers,
     )
 

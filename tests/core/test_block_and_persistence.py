@@ -46,16 +46,21 @@ class TestPowerBlock:
 
 
 class TestPersistence:
-    @pytest.mark.parametrize("strategy", ["abmc", "levels"])
+    @pytest.mark.parametrize("strategy", ["abmc", "levels",
+                                          "levels-blocked"])
     def test_save_load_roundtrip(self, small_sym, rng, tmp_path, strategy):
         op = build_fbmpk_operator(small_sym, strategy=strategy,
                                   block_size=4)
         path = tmp_path / "op.npz"
         op.save(path)
         x = rng.standard_normal(small_sym.n_rows)
+        X = rng.standard_normal((small_sym.n_rows, 3))
         loaded = FBMPKOperator.load(path)
         assert loaded.groups.origin == op.groups.origin
+        assert loaded.schedule == op.schedule
         np.testing.assert_array_equal(loaded.power(x, 5), op.power(x, 5))
+        np.testing.assert_array_equal(loaded.power_block(X, 4),
+                                      op.power_block(X, 4))
 
     def test_loaded_abmc_operator_keeps_colour_phases(self, small_sym, rng,
                                                       tmp_path):

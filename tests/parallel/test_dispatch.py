@@ -26,9 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import build_fbmpk_operator, kernels
+from repro.core import FBMPKOperator, build_fbmpk_operator, kernels
 from repro.core.partition import split_ldu
 from repro.matrices import poisson2d
+from repro.sparse import CSRMatrix
 from repro.parallel import (
     BlockTask,
     CompletionBarrier,
@@ -128,9 +129,10 @@ def test_descriptor_batch_chained_flags():
 
 
 def test_coalesced_merges_runs_into_balanced_ranges():
-    """Contiguous same-phase blocks merge into ranges cut only at block
-    boundaries, near equal-work points; a gap between runs is always a
-    cut; chained flags are recomputed on the merged ranges."""
+    """Contiguous same-phase blocks merge into ranges cut at block
+    boundaries (or between independent rows), near equal-work points; a
+    gap between runs is always a cut; chained flags are recomputed on
+    the merged ranges."""
     part = split_ldu(poisson2d(4, seed=0))  # row i reads i-1 and i-4
     one_row = [BlockTask(i, i + 1, 1) for i in range(8)]
     phases = [Phase(color=0, tasks=one_row),
@@ -149,12 +151,20 @@ def test_coalesced_merges_runs_into_balanced_ranges():
     np.testing.assert_array_equal(two.phase_ptr, [0, 2, 4, 4])
     np.testing.assert_array_equal(two.starts, [0, 4, 8, 12])
     np.testing.assert_array_equal(two.stops, [4, 8, 10, 16])
-    # Blocks wider than the parts are never split.
+    # A block whose rows depend on each other is never split ...
     wide = DescriptorBatch.from_phases(
-        [Phase(color=0, tasks=[BlockTask(0, 16, 40)])]).coalesced(
-            4, part.lower)
-    np.testing.assert_array_equal(wide.starts, [0])
-    np.testing.assert_array_equal(wide.stops, [16])
+        [Phase(color=0, tasks=[BlockTask(0, 16, 40)])])
+    chained = wide.coalesced(4, part.lower)
+    np.testing.assert_array_equal(chained.starts, [0])
+    np.testing.assert_array_equal(chained.stops, [16])
+    # ... but one whose rows are independent is cut between rows.
+    diagonal = split_ldu(CSRMatrix.from_dense(np.eye(16))).lower
+    free = wide.coalesced(4, diagonal)
+    np.testing.assert_array_equal(free.phase_ptr, [0, 4])
+    np.testing.assert_array_equal(free.starts, [0, 4, 8, 12])
+    np.testing.assert_array_equal(free.stops, [4, 8, 12, 16])
+    np.testing.assert_array_equal(free.chained, [False] * 4)
+    np.testing.assert_array_equal(wide.coalesced(1, diagonal).stops, [16])
     with pytest.raises(ValueError, match="n_parts"):
         batch.coalesced(0, part.lower)
 
@@ -169,8 +179,9 @@ def test_coalesced_merges_runs_into_balanced_ranges():
 )
 def test_coalesced_covers_the_same_rows(sizes, gaps, policy, n_parts):
     """Each phase of a coalesced batch covers exactly its blocks' rows,
-    every range is a union of whole blocks, and a phase of ``r``
-    contiguous runs of blocks gets at most ``r + n_parts - 1`` ranges."""
+    every range is a union of whole blocks and rows of blocks whose rows
+    are independent, and a phase of ``r`` contiguous runs of blocks gets
+    at most ``r + n_parts - 1`` ranges."""
     phases, row, flag = [], 0, iter(gaps)
     for ci, widths in enumerate(sizes):
         tasks = []
@@ -191,6 +202,11 @@ def test_coalesced_covers_the_same_rows(sizes, gaps, policy, n_parts):
                               for r in range(t.start, t.stop))
         edges = {t.start for t in phase.tasks} | {t.stop
                                                   for t in phase.tasks}
+        for t in phase.tasks:
+            if not kernels.chained_ranges(tri.indptr, tri.indices,
+                                          np.array([t.start]),
+                                          np.array([t.stop]))[0]:
+                edges.update(range(t.start, t.stop))
         assert all(s in edges and e in edges for s, e in got)
         runs = sum(1 for i, t in enumerate(phase.tasks)
                    if i == 0 or t.start != phase.tasks[i - 1].stop)
@@ -228,6 +244,27 @@ def test_parallel_sweeps_dispatch_one_range_per_worker(block_size,
             assert batch.n_phases == len(phases)
         for segments, phases in zip(op._serial_segments(), (fw, bw)):
             assert len(segments) == sum(1 for p in phases if p.tasks)
+
+
+@pytest.mark.parametrize("executor", ["threads", "processes"])
+def test_loaded_operator_dispatches_like_built(executor, tmp_path):
+    """A saved one-row-block ABMC operator comes back with one phase per
+    colour (from its sweep groups); its colours' rows are independent,
+    so each phase is still cut into one range per worker, as the built
+    operator's one-row blocks are, and the bits stay Algorithm 2's."""
+    a = poisson2d(24, seed=3)
+    x = np.random.default_rng(5).standard_normal(a.n_rows)
+    build_fbmpk_operator(a).save(tmp_path / "op.npz")
+    ranges = []
+    for op in (build_fbmpk_operator(a, executor=executor, n_threads=2),
+               FBMPKOperator.load(tmp_path / "op.npz", executor=executor,
+                                  n_threads=2)):
+        with op:
+            np.testing.assert_array_equal(op.power(x, 4),
+                                          reference_power(op, x, 4))
+            ranges.append([p.n_tasks for p in op.last_stats.phases])
+    assert ranges[0] == ranges[1]
+    assert max(ranges[1]) == 2
 
 
 @settings(deadline=None, max_examples=60)
@@ -430,10 +467,13 @@ def test_one_enqueue_per_phase_per_worker(shm_leaked):
     tasks = [BlockTask(i, min(i + 4, n), 4) for i in range(0, n, 4)]
     phases = [Phase(color=0, tasks=tasks)]
     stats = ExecutionStats(n_threads=2, policy="lpt")
-    with ProcessPhaseExecutor(part, n_workers=2, claim_chunk=1) as ex:
+    with ProcessPhaseExecutor(part, n_workers=2) as ex:
         ex.run_batched(ex.register_phases(phases, "forward"), "forward", stats)
     assert stats.enqueues == len(phases) * 2
     assert stats.enqueues < len(tasks)  # strictly below per-block cost
+    # The default chunk: several claims per worker, to rebalance.
+    assert default_claim_chunk(len(tasks), 2) == 2
+    assert stats.steals == len(tasks) // 2
     assert stats.barriers == len(phases)
     assert shm_leaked() == set()
 

@@ -221,7 +221,7 @@ class TestFailureContainment:
                                                   x_vectors, shm_leaked):
         op = self._operator(matrices)
         op.power(x_vectors["grid"], 2)  # spawn the pool
-        pids = op._procs.pool.start()
+        pids = op._pool.start()
         os.kill(pids[0], signal.SIGKILL)
         time.sleep(0.05)
         with pytest.raises(PhaseExecutionError, match="died"):
@@ -234,7 +234,7 @@ class TestFailureContainment:
         op = self._operator(matrices, on_failure="fallback_serial")
         y0 = op.power(x_vectors["grid"], 4)
         np.testing.assert_array_equal(y0, serial_results["grid", 4])
-        pids = op._procs.pool.start()
+        pids = op._pool.start()
         os.kill(pids[1], signal.SIGKILL)
         time.sleep(0.05)
         with pytest.warns(RuntimeWarning, match="fallback_serial"):
@@ -301,11 +301,34 @@ class TestFailureContainment:
         serial = build_fbmpk_operator(a, block_size=BLOCK)
         ref = serial.power_block(X, 4)
         np.testing.assert_array_equal(op.power_block(X, 4), ref)
-        pids = op._procs.pool.start()
+        pids = op._pool.start()
         os.kill(pids[0], signal.SIGKILL)
         time.sleep(0.05)
         with pytest.warns(RuntimeWarning, match="fallback_serial"):
             np.testing.assert_array_equal(op.power_block(X, 4), ref)
+        op.close()
+        assert shm_leaked() == set()
+
+
+    def test_levels_blocked_block_call_fallback_serial(self, matrices,
+                                                      shm_leaked):
+        """The wavefront's block sweep on the process pool has the same
+        containment: a killed worker degrades into the serial bits."""
+        a = matrices["grid"]
+        op = build_fbmpk_operator(a, strategy="levels-blocked",
+                                  block_size=8, executor="processes",
+                                  n_threads=2, on_failure="fallback_serial")
+        X = np.random.default_rng(5).standard_normal((a.n_rows, 3))
+        ref = build_fbmpk_operator(a, strategy="levels-blocked",
+                                   block_size=8).power_block(X, 5)
+        np.testing.assert_array_equal(op.power_block(X, 5), ref)
+        pids = op._pool.start()
+        os.kill(pids[0], signal.SIGKILL)
+        time.sleep(0.05)
+        with pytest.warns(RuntimeWarning, match="fallback_serial"):
+            np.testing.assert_array_equal(op.power_block(X, 5), ref)
+        assert op.last_stats is None  # the serial rerun left no stats
+        np.testing.assert_array_equal(op.power_block(X, 5), ref)
         op.close()
         assert shm_leaked() == set()
 
@@ -365,7 +388,7 @@ class TestSharedMemoryLifecycle:
                                   executor="processes",
                                   n_threads=2) as op:
             op.power_block(X1, 4)
-            pool = op._procs.pool
+            pool = op._pool
             pids = pool.start()
             os.kill(pids[1], signal.SIGSTOP)
             try:
@@ -422,7 +445,7 @@ class TestSharedMemoryLifecycle:
                                   executor="processes", n_threads=2,
                                   on_failure="fallback_serial")
         op.power(x_vectors["grid"], 2)
-        pids = op._procs.pool.start()
+        pids = op._pool.start()
         os.kill(pids[0], signal.SIGKILL)
         time.sleep(0.05)
         with pytest.warns(RuntimeWarning):

@@ -73,7 +73,7 @@ class TestProcessWatchdog:
                                                    shm_leaked):
         op = self._operator(grid)
         op.power(x.copy(), 2)  # spawn the pool
-        pids = op._procs.pool.start()
+        pids = op._pool.start()
         os.kill(pids[0], signal.SIGSTOP)
         t0 = time.monotonic()
         with pytest.raises(PhaseExecutionError, match="watchdog"):
@@ -91,7 +91,7 @@ class TestProcessWatchdog:
         op = self._operator(grid, on_failure="fallback_serial")
         y0 = op.power(x.copy(), 4)
         np.testing.assert_array_equal(y0, serial_ref[4])
-        pids = op._procs.pool.start()
+        pids = op._pool.start()
         os.kill(pids[1], signal.SIGSTOP)
         with pytest.warns(RuntimeWarning, match="fallback_serial"):
             y1 = op.power(x.copy(), 4)

@@ -7,8 +7,8 @@ without changing a single bit of anyone's answer.
 
 The oracle is Algorithm 2 itself (``fbmpk_reference``) on the operator's
 own row ordering: every batched column must equal it bit for bit, for
-ABMC at block sizes 1 and 256, levels, and (for ``power``)
-levels-blocked, at odd and even k, on every executor.
+ABMC at block sizes 1 and 256, levels and levels-blocked, at odd and
+even k, on every executor.
 """
 
 import numpy as np
@@ -25,7 +25,8 @@ from ..oracle import reference_power
 EXECUTORS = ["serial", "threads", "processes"]
 K_VALUES = [0, 1, 2, 3, 5, 8]
 #: (strategy, block_size) of every schedule family.
-SCHEDULES = [("abmc", 1), ("abmc", 256), ("levels", 1)]
+SCHEDULES = [("abmc", 1), ("abmc", 256), ("levels", 1),
+             ("levels-blocked", 64)]
 
 
 def _block_matches_per_vector(op, X, k):
@@ -94,6 +95,9 @@ def test_block_matches_reference_per_schedule(grid24, executor, schedule,
                               **kwargs)
     try:
         X = np.random.default_rng(k).standard_normal((grid24.n_rows, 3))
+        op.power_block(X, k)
+        # A parallel executor runs the block sweeps on its own pool.
+        assert (op.last_stats is None) == (executor == "serial")
         ok, col = _block_matches_per_vector(op, X, k)
         assert ok, f"column {col} differs ({schedule}, {executor})"
     finally:
@@ -119,8 +123,13 @@ def test_levels_blocked_matches_reference(grid24, executor, k):
     op = build_fbmpk_operator(grid24, strategy="levels-blocked",
                               block_size=64, executor=executor, **kwargs)
     try:
-        x = np.random.default_rng(k).standard_normal(grid24.n_rows)
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal(grid24.n_rows)
         assert np.array_equal(op.power(x, k), reference_power(op, x, k))
+        for width in range(1, 9):
+            X = rng.standard_normal((grid24.n_rows, width))
+            ok, col = _block_matches_per_vector(op, X, k)
+            assert ok, f"column {col} differs (width={width})"
     finally:
         op.close()
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LevelsBlockedOperator, build_fbmpk_operator
+from repro.core import FBMPKOperator, build_fbmpk_operator
 from repro.core.partition import split_ldu
 from repro.reorder import (
     blocked_descriptors,
@@ -191,7 +191,8 @@ class TestOperator:
         op = build_fbmpk_operator(any_matrix, strategy="levels-blocked",
                                   block_size=block_rows)
         try:
-            assert isinstance(op, LevelsBlockedOperator)
+            assert isinstance(op, FBMPKOperator)
+            assert op.schedule == "levels-blocked"
             assert np.array_equal(op.power(x, k), ref.power(x, k))
         finally:
             op.close()
@@ -224,6 +225,29 @@ class TestOperator:
         finally:
             serial.close()
             procs.close()
+
+    def test_configure_executor_switches_backends(self, grid, rng):
+        """The wavefront keeps its blocking and per-k batches across
+        executor switches; every backend gives the serial bits."""
+        x = rng.standard_normal(grid.n_rows)
+        X = rng.standard_normal((grid.n_rows, 3))
+        with build_fbmpk_operator(grid, strategy="levels-blocked",
+                                  block_size=8) as op:
+            y, Y = op.power(x, 5), op.power_block(X, 4)
+            for backend in ("threads", "processes", "serial", "threads"):
+                op.configure_executor(executor=backend, n_threads=2,
+                                      assign_policy="round_robin")
+                assert np.array_equal(op.power(x, 5), y), backend
+                assert np.array_equal(op.power_block(X, 4), Y), backend
+                assert (op.last_stats is None) == (backend == "serial")
+
+    def test_on_iterate_rejected(self, grid, rng):
+        """Intermediate powers never exist as whole vectors on the
+        wavefront, so asking for them is an error, not a silent no-op."""
+        with build_fbmpk_operator(grid, strategy="levels-blocked") as op:
+            with pytest.raises(ValueError, match="on_iterate"):
+                op.power(rng.standard_normal(grid.n_rows), 3,
+                         on_iterate=lambda i, v: None)
 
     def test_power_zero_copies_input(self, grid, rng):
         x = rng.standard_normal(grid.n_rows)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import build_fbmpk_operator
 from repro.matrices import banded_random
-from repro.parallel.dispatch import DescriptorBatch
+from repro.parallel.dispatch import DescriptorBatch, default_claim_chunk
 from repro.parallel.executor import ThreadedPhaseExecutor
 from repro.parallel.scheduler import BlockTask, Phase
 from repro.robust import (
@@ -207,7 +207,10 @@ class TestExecutorContainment:
         inj.install("executor.task",
                     RaiseFault(match={"start": 0}))
         inj.install("executor.task", DelayFault(0.05, match={"start": 8}))
-        ex = ThreadedPhaseExecutor(n_threads=2, claim_chunk=1)
+        # Two blocks over two workers: the default chunk is one block,
+        # so each worker claims one of them.
+        assert default_claim_chunk(2, 2) == 1
+        ex = ThreadedPhaseExecutor(n_threads=2)
         with inj, pytest.raises(PhaseExecutionError):
             ex.run_batched(batch, run)
         assert 8 in done  # the delayed sibling block completed

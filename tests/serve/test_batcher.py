@@ -138,8 +138,12 @@ def test_global_pending_cap():
 
 # -- unbatchable fallback --------------------------------------------------
 def test_unbatchable_entry_served_per_request():
+    from repro.core.partition import split_ldu
+    from repro.tune.registry import UnfusedPowerOperator
+
     async def main():
-        entry = make_entry(strategy="levels-blocked")  # no power_block
+        op = UnfusedPowerOperator(split_ldu(SPEC.load()))  # no power_block
+        entry = ResidentOperator(SPEC, op, "00", "build")
         assert not entry.can_batch
         b = make_batcher()
         xs = vectors(entry.n, 3)

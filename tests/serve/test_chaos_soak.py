@@ -92,9 +92,9 @@ def pool_pids(service):
     """PIDs of the resident operator's process-pool workers (spawning
     the pool if the operator exists but has not run parallel yet)."""
     for entry in service.registry._entries.values():
-        procs = getattr(entry.op, "_procs", None)
-        if procs is not None:
-            return procs.pool.start()
+        pool = getattr(entry.op, "_pool", None)
+        if pool is not None:
+            return pool.start()
     return []
 
 

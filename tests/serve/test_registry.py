@@ -157,21 +157,26 @@ def test_can_batch_requires_numpy_fbmpk():
 
 
 def test_every_fbmpk_operator_is_batchable():
-    """ABMC at any block size and levels all batch; levels-blocked has
-    no ``power_block`` and is served per request."""
+    """ABMC at any block size, levels and levels-blocked all batch; the
+    unfused operator has no ``power_block`` and is served per
+    request."""
     from repro.core import build_fbmpk_operator
+    from repro.core.partition import split_ldu
+    from repro.tune.registry import UnfusedPowerOperator
 
     a = SPEC_A.load()
-    for strategy, block_size, batchable in (
-            ("abmc", 1, True), ("abmc", 256, True), ("levels", 1, True),
-            ("levels-blocked", 256, False)):
+    for strategy, block_size in (("abmc", 1), ("abmc", 256), ("levels", 1),
+                                 ("levels-blocked", 256)):
         op = build_fbmpk_operator(a, strategy=strategy,
                                   block_size=block_size)
         try:
             entry = ResidentOperator(SPEC_A, op, "00", "build")
-            assert entry.can_batch is batchable, strategy
+            assert entry.can_batch, strategy
         finally:
             op.close()
+    entry = ResidentOperator(SPEC_A, UnfusedPowerOperator(split_ldu(a)),
+                             "00", "build")
+    assert not entry.can_batch
 
 
 # -- lifecycle -------------------------------------------------------------

@@ -201,7 +201,7 @@ def test_returned_winner_holds_no_pools(grid, monkeypatch):
     try:
         assert res.plan == default_power_plan()
         assert op.executor == "serial"
-        assert op._threaded is None and op._procs is None
+        assert op._pool is None
         assert shm() == before
         assert not [t for t in threading.enumerate()
                     if t.name.startswith("fbmpk") and t.is_alive()]
