@@ -32,8 +32,8 @@ A user-facing front end over the library:
 ``serve``
     Run the multi-tenant solve service: newline-delimited JSON over
     TCP, resident autotuned operators keyed by structure, and a
-    gather-window batching queue that stacks concurrent requests for
-    the same ``(matrix, k)`` into one multi-RHS sweep (see
+    batching queue that stacks the requests for one ``(matrix, k)``
+    that arrive while its operator is busy into one multi-RHS sweep (see
     :mod:`repro.serve`).  ``tools/serve_client.py`` is the matching
     client.
 
@@ -582,10 +582,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port-file", default=None,
                    help="write the bound port to this file once "
                         "listening (lets scripts use --port 0)")
-    p.add_argument("--gather-window-ms", type=float, default=2.0,
-                   help="how long the first request for a (matrix, k) "
-                        "waits for companions before its batch is "
-                        "sealed (latency traded for batching)")
+    p.add_argument("--gather-window-ms", type=float, default=0.0,
+                   help="minimum wait of the first request for a "
+                        "(matrix, k) on an idle operator before its "
+                        "batch is sealed; requests that arrive while a "
+                        "batch runs are sealed when it completes "
+                        "(default 0)")
     p.add_argument("--max-batch", type=int, default=32,
                    help="seal a batch early at this many RHS vectors")
     p.add_argument("--max-queue", type=int, default=256,

@@ -12,10 +12,12 @@ Layers (transport-agnostic core, thin shell):
 
 * :class:`ServeConfig` — every knob in one dataclass;
 * :class:`MatrixSpec` — how requests name matrices;
-* :mod:`~repro.serve.protocol` — wire envelopes + structured errors;
+* :mod:`~repro.serve.protocol` — the line codec, wire envelopes and
+  structured errors;
 * :class:`OperatorRegistry` — LRU-bounded resident operators with
   refcounted eviction;
-* :class:`Batcher` — the gather-window batching queue;
+* :class:`Batcher` — the batching queue, sealed when its operator
+  goes idle;
 * :class:`SolveService` — parse → acquire → batch → respond;
 * :class:`SolveServer` — the asyncio TCP front end
   (``python -m repro serve``).
@@ -30,6 +32,7 @@ from .protocol import (
     ProtocolError,
     QueueFullError,
     ServiceClosedError,
+    decode_line,
     encode_line,
     error_response,
     ok_response,
@@ -57,6 +60,7 @@ __all__ = [
     "SolveService",
     "SpecError",
     "TooLargeError",
+    "decode_line",
     "encode_line",
     "error_response",
     "ok_response",

@@ -1,12 +1,20 @@
 """The batching queue: many users' RHS vectors, one read of A.
 
-Concurrent ``power`` requests for the same ``(matrix, k)`` that arrive
-within a short *gather window* are stacked into one ``(n, m)`` block and
-advanced by a single multi-RHS
+Concurrent ``power`` requests for the same ``(matrix, k)`` are stacked
+into one ``(n, m)`` block and advanced by a single multi-RHS
 :meth:`~repro.core.fbmpk.FBMPKOperator.power_block` sweep — each
 triangle of A is streamed once per stage *for the whole batch*, so the
 paper's ``(k+1)/2`` traffic win is multiplied again by the batch width.
 The block result is then de-interleaved back to the individual callers.
+
+Sealing: a queue becomes a batch at the earliest of two points — when
+``max_batch`` requests are queued, or when its gather window
+(``gather_window_s``, counted from its first request) has passed *and*
+its operator has no batch running.  Requests that arrive while a batch
+runs keep gathering and are sealed the moment it completes, so the
+batch width follows the load with no timer to pay: a lone request on
+an idle operator runs at once (the default window is 0), and under
+load each sweep takes whatever queued during the previous one.
 
 Bit-identity: every ``power_block`` column is computed with exactly the
 per-vector ``power`` arithmetic — each compiled sweep call sums every
@@ -28,6 +36,7 @@ buffers cannot mutate a response already sent.
 from __future__ import annotations
 
 import asyncio
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -77,15 +86,23 @@ class _Queue:
     k: int
     items: List[_Pending] = field(default_factory=list)
     timer: Optional[asyncio.TimerHandle] = None
+    #: The gather window has passed: seal as soon as the operator is
+    #: idle.
+    ripe: bool = False
 
 
 class Batcher:
-    """Gather-window batching with admission control."""
+    """Seal-on-idle batching with admission control."""
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
+        #: Open queues, oldest first (a sealed queue is popped, and the
+        #: next request for its key opens a new one at the end).
         self._queues: Dict[Tuple[int, int], _Queue] = {}
         self._inflight: Set[asyncio.Task] = set()
+        #: ``id(entry)`` -> batches sealed on that operator and not yet
+        #: complete; an operator absent here is idle.
+        self._running: Dict[int, int] = {}
         self._pending = 0
         self._max_width = 0
         self._closing = False
@@ -149,10 +166,37 @@ class Batcher:
         self._pending += 1
         if len(q.items) >= self.config.max_batch:
             self._flush(qk)
-        elif q.timer is None:
+        elif len(q.items) == 1:
             q.timer = loop.call_later(self.config.gather_window_s,
-                                      self._flush, qk)
+                                      self._window_passed, qk)
         return await fut
+
+    # -- sealing ---------------------------------------------------------
+    def _window_passed(self, qk: Tuple[int, int]) -> None:
+        q = self._queues.get(qk)
+        if q is None:
+            return
+        q.timer = None
+        q.ripe = True
+        self._seal_idle(qk[0])
+
+    def _seal_idle(self, eid: int) -> None:
+        """Seal the oldest ripe queue of operator ``eid`` if it has no
+        batch running (the next, if every request of that one was
+        cancelled or expired)."""
+        while eid not in self._running:
+            qk = next((key for key, q in self._queues.items()
+                       if key[0] == eid and q.ripe), None)
+            if qk is None:
+                return
+            self._flush(qk)
+
+    def _batch_done(self, eid: int, task: asyncio.Task) -> None:
+        self._inflight.discard(task)
+        self._running[eid] -= 1
+        if not self._running[eid]:
+            del self._running[eid]
+            self._seal_idle(eid)
 
     # -- batch execution -------------------------------------------------
     def _flush(self, qk: Tuple[int, int]) -> None:
@@ -185,7 +229,8 @@ class Batcher:
         task = asyncio.get_running_loop().create_task(
             self._run_batch(q.entry, q.k, live))
         self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+        self._running[qk[0]] = self._running.get(qk[0], 0) + 1
+        task.add_done_callback(functools.partial(self._batch_done, qk[0]))
 
     async def _run_batch(self, entry: ResidentOperator, k: int,
                          items: List[_Pending]) -> None:

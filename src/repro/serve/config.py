@@ -1,9 +1,9 @@
 """Serving-layer configuration.
 
 One :class:`ServeConfig` instance parameterises the whole service
-stack — admission control, the batching gather window, operator
-residency, tuning policy — so embedding code, the ``serve`` CLI
-subcommand and the tests all speak the same vocabulary.
+stack — admission control, batch sealing, operator residency, tuning
+policy — so embedding code, the ``serve`` CLI subcommand and the tests
+all speak the same vocabulary.
 """
 
 from __future__ import annotations
@@ -23,11 +23,14 @@ class ServeConfig:
     """Knobs of the multi-tenant solve service.
 
     Batching
-        ``gather_window_s`` is how long the first request for a
-        ``(matrix, k)`` pair waits for companions before its batch is
-        sealed; ``max_batch`` seals a batch early once that many RHS
-        vectors are queued.  The window is the latency the service
-        trades for amortising one read of A over the whole batch.
+        A ``(matrix, k)`` queue is sealed into one batch when its
+        operator has no batch running and ``gather_window_s`` has
+        passed since its first request, or as soon as ``max_batch`` RHS
+        vectors are queued.  Requests that arrive while a batch runs
+        keep gathering and are sealed when it completes, so batches
+        widen with the load on their own; the window (default 0) is
+        only the minimum wait on an idle operator, latency traded for
+        companions.
     Admission control
         ``max_queue`` bounds one ``(matrix, k)`` queue; ``max_pending``
         bounds requests waiting across all queues.  Beyond either, new
@@ -65,7 +68,7 @@ class ServeConfig:
     """
 
     # batching
-    gather_window_s: float = 0.002
+    gather_window_s: float = 0.0
     max_batch: int = 32
     # admission control
     max_queue: int = 256

@@ -3,10 +3,25 @@
 One request per line, one response line per request, matched by the
 client-chosen ``id`` (responses may arrive out of submission order —
 the whole point of batching is that several requests complete
-together).  Python's ``json`` emits shortest-roundtrip ``repr`` floats,
-so a float64 result survives the response encoding **bit-exactly**:
-what the batched sweep computed is what the client's
-``np.array(resp["y"])`` holds.
+together).  This module owns the one codec both directions use:
+:func:`encode_line` writes with ``orjson``, whose float formatting is
+Ryu's shortest round-trip representation, so a float64 result survives
+the response encoding **bit-exactly** — what the batched sweep computed
+is what the client's ``np.array(resp["y"])`` holds, whether the client
+parses with ``orjson`` or with the standard library's ``json``.
+:func:`decode_line` parses request lines, and reads the shortest
+round-trip floats a stdlib ``json.dumps`` client writes back to the
+same bits.
+
+The wire is strict JSON.  ``NaN`` and ``Infinity`` are not JSON
+literals (stdlib ``json.dumps`` writes them anyway), so a request line
+carrying one fails to decode and gets a structured ``bad_request``;
+the connection stays open.  In-process :meth:`SolveService.handle`
+callers, which pass decoded objects, still get ``non_finite`` for
+NaN/Inf entries of ``x``.  Non-finite floats in *control* responses
+(``stats``, ``metrics``, ...) encode as ``null``.  An integer ``id``
+must fit in 64 bits; a wider one decodes as a float and is echoed as
+one.
 
 Requests::
 
@@ -39,11 +54,11 @@ switch on them without parsing messages.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Union
 
 import numpy as np
+import orjson
 
 from ..robust.resilience import Deadline
 from .spec import MatrixSpec, SpecError, TooLargeError
@@ -59,6 +74,7 @@ __all__ = [
     "ok_response",
     "error_response",
     "encode_line",
+    "decode_line",
     "decode_vector",
 ]
 
@@ -214,11 +230,26 @@ def error_response(rid: Any, code: str,
             "error": {"code": code, "message": message}}
 
 
+#: ``orjson`` options of every line this module writes.
+_ENCODE_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+
+
 def encode_line(obj: Mapping[str, Any]) -> bytes:
     """Serialise one response/request as a newline-terminated JSON line.
 
-    Compact separators keep result vectors as small as JSON allows;
-    float formatting is Python's shortest-roundtrip ``repr``, which
-    preserves every float64 bit across the wire.
+    Compact, with shortest round-trip (Ryu) floats, which preserve every
+    float64 bit across the wire.  C-contiguous numpy arrays (the owned
+    result vectors) are written directly, without ``tolist()``;
+    non-finite floats become ``null``.
     """
-    return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
+    return orjson.dumps(obj, option=_ENCODE_OPTIONS)
+
+
+def decode_line(line: Union[bytes, str]) -> Any:
+    """Parse one JSON line; raises :class:`ProtocolError` (code
+    ``bad_request``) when it is not JSON, ``NaN``/``Infinity`` literals
+    included."""
+    try:
+        return orjson.loads(line)
+    except orjson.JSONDecodeError as exc:
+        raise ProtocolError("bad_request", f"invalid JSON: {exc}") from None

@@ -4,8 +4,11 @@ Framing is one JSON object per line in both directions (see
 :mod:`repro.serve.protocol`).  Each connection gets its own reader
 loop; each request line becomes its own task, so a slow batch never
 blocks the connection from submitting more requests — that concurrency
-is precisely what fills the gather window.  Responses are written under
-a per-connection lock (they may complete out of order).
+is precisely what fills the next batch while the current one runs.
+Responses are written under a per-connection lock (they may complete
+out of order).  Lines are decoded and encoded by the codec of
+:mod:`repro.serve.protocol`; the ``serve.decode`` and ``serve.encode``
+spans time that wire layer on either side of ``serve.request``.
 
 Disconnect semantics: when a client drops, every request task spawned
 for that connection is cancelled.  A cancelled request's future is
@@ -16,12 +19,12 @@ setting results), and the batch still completes for everyone else.
 from __future__ import annotations
 
 import asyncio
-import json
 from typing import Optional, Set
 
 from .. import obs
 from ..obs.exporter import MetricsHTTPServer
-from .protocol import encode_line, error_response
+from .protocol import (ProtocolError, decode_line, encode_line,
+                       error_response)
 from .service import SolveService
 
 __all__ = ["SolveServer"]
@@ -149,10 +152,11 @@ class SolveServer:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+                with obs.span("serve.decode", bytes=len(line)):
+                    obj = decode_line(line)
+            except ProtocolError as exc:
                 await self._send(writer, write_lock, error_response(
-                    None, "bad_request", f"invalid JSON: {exc.msg}"))
+                    None, exc.code, exc.message))
                 continue
             t = asyncio.get_running_loop().create_task(
                 self._dispatch(obj, writer, write_lock))
@@ -173,11 +177,13 @@ class SolveServer:
     @staticmethod
     async def _send(writer: asyncio.StreamWriter, lock: asyncio.Lock,
                     obj) -> None:
-        data = encode_line(obj)
         async with lock:
             if writer.is_closing():
                 return
-            writer.write(data)
+            # The span closes before the drain's await, so no other
+            # task's spans nest under it.
+            with obs.span("serve.encode"):
+                writer.write(encode_line(obj))
             try:
                 await writer.drain()
             except (ConnectionError, OSError):

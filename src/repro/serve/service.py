@@ -196,7 +196,9 @@ class SolveService:
             if self._inflight_by_tenant[req.tenant] <= 0:
                 del self._inflight_by_tenant[req.tenant]
         obs.add_counter("serve.requests.completed")
-        return ok_response(req.id, y=y.tolist(), meta=meta)
+        # ``y`` is an owned contiguous column (split_block): the codec
+        # writes it straight from the array.
+        return ok_response(req.id, y=y, meta=meta)
 
     def _reject(self, rid: Any, code: str, message: str
                 ) -> Dict[str, Any]:

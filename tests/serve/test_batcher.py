@@ -1,9 +1,11 @@
-"""Batching-queue behaviour: gather-window batching, early sealing at
-``max_batch``, admission control, the unbatchable-operator fallback,
-drain semantics, and the aliasing audit — batched responses must never
-share memory with the gather/result buffers."""
+"""Batching-queue behaviour: gather-window batching, seal-on-idle,
+early sealing at ``max_batch``, admission control, the
+unbatchable-operator fallback, drain semantics, and the aliasing audit
+— batched responses must never share memory with the gather/result
+buffers."""
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -93,6 +95,142 @@ def test_max_batch_seals_early():
             timeout=10)
         assert [w for _, w in results] == [2, 2, 2, 2]
         await b.drain()
+        entry._close_op()
+
+    run(main())
+
+
+# -- seal on idle (default window) ----------------------------------------
+class Gate:
+    """Holds every ``power_block`` sweep of an entry until released, and
+    records the width of each."""
+
+    def __init__(self, entry):
+        self.release = threading.Event()
+        self.widths = []
+        inner = entry.op.power_block
+
+        def power_block(X, k, **kw):
+            self.widths.append(X.shape[1])
+            assert self.release.wait(30), "gate never released"
+            return inner(X, k, **kw)
+
+        entry.op.power_block = power_block
+
+
+async def until(cond, timeout=10.0):
+    loop = asyncio.get_running_loop()
+    t_end = loop.time() + timeout
+    while not cond():
+        assert loop.time() < t_end, "condition never held"
+        await asyncio.sleep(0.001)
+
+
+def gated_setup():
+    entry = make_entry()
+    gate = Gate(entry)
+    b = Batcher(ServeConfig(tune="off").validate())
+    assert b.config.gather_window_s == 0
+    return entry, gate, b
+
+
+def test_lone_request_on_idle_operator_is_sealed_at_once():
+    async def main():
+        entry, gate, b = gated_setup()
+        xs = vectors(entry.n, 2)
+        try:
+            t1 = asyncio.ensure_future(b.submit(entry, xs[0], 3))
+            # Sealed and running before a second request exists.
+            await until(lambda: gate.widths == [1])
+            assert (b.pending, b.inflight_batches) == (0, 1)
+            gate.release.set()
+            y1, w1 = await asyncio.wait_for(t1, timeout=30)
+            y2, w2 = await asyncio.wait_for(
+                b.submit(entry, xs[1], 3), timeout=30)
+        finally:
+            gate.release.set()
+        assert (w1, w2) == (1, 1)
+        for y, ref in zip((y1, y2), reference(entry, xs, 3)):
+            assert np.array_equal(y, ref)
+        await b.drain()
+        entry._close_op()
+
+    run(main())
+
+
+def test_requests_arriving_while_busy_seal_as_one_batch_on_completion():
+    async def main():
+        entry, gate, b = gated_setup()
+        xs = vectors(entry.n, 4)
+        try:
+            first = asyncio.ensure_future(b.submit(entry, xs[0], 3))
+            await until(lambda: gate.widths == [1])
+            rest = [asyncio.ensure_future(b.submit(entry, x, 3))
+                    for x in xs[1:]]
+            await until(lambda: b.pending == 3)
+            gate.release.set()
+            results = await asyncio.wait_for(
+                asyncio.gather(first, *rest), timeout=30)
+        finally:
+            gate.release.set()
+        assert gate.widths == [1, 3]
+        assert [w for _, w in results] == [1, 3, 3, 3]
+        for (y, _), ref in zip(results, reference(entry, xs, 3)):
+            assert np.array_equal(y, ref)
+        await b.drain()
+        entry._close_op()
+
+    run(main())
+
+
+def test_window_expiring_while_busy_does_not_seal_a_second_batch():
+    async def main():
+        entry, gate, b = gated_setup()
+        xs = vectors(entry.n, 3)
+        try:
+            first = asyncio.ensure_future(b.submit(entry, xs[0], 3))
+            await until(lambda: gate.widths == [1])
+            rest = [asyncio.ensure_future(b.submit(entry, x, 3))
+                    for x in xs[1:]]
+            # Far past the (zero) window, but the operator is busy.
+            await asyncio.sleep(0.05)
+            assert (b.pending, b.inflight_batches) == (2, 1)
+            assert gate.widths == [1]
+            gate.release.set()
+            await asyncio.wait_for(asyncio.gather(first, *rest),
+                                   timeout=30)
+        finally:
+            gate.release.set()
+        assert gate.widths == [1, 2]
+        await b.drain()
+        entry._close_op()
+
+    run(main())
+
+
+def test_drain_seals_queues_waiting_on_a_busy_operator():
+    async def main():
+        entry, gate, b = gated_setup()
+        xs = vectors(entry.n, 3)
+        try:
+            first = asyncio.ensure_future(b.submit(entry, xs[0], 3))
+            await until(lambda: gate.widths == [1])
+            rest = [asyncio.ensure_future(b.submit(entry, x, 3))
+                    for x in xs[1:]]
+            await until(lambda: b.pending == 2)
+            drain = asyncio.ensure_future(b.drain())
+            await until(lambda: b.pending == 0)
+            assert b.inflight_batches == 2
+            gate.release.set()
+            results = await asyncio.wait_for(
+                asyncio.gather(first, *rest), timeout=30)
+            await asyncio.wait_for(drain, timeout=30)
+        finally:
+            gate.release.set()
+        assert [w for _, w in results] == [1, 2, 2]
+        for (y, _), ref in zip(results, reference(entry, xs, 3)):
+            assert np.array_equal(y, ref)
+        assert (b.pending, b.inflight_batches) == (0, 0)
         entry._close_op()
 
     run(main())

@@ -1,10 +1,13 @@
 """Wire-protocol unit tests: request validation, the closed error-code
-set, and bit-exact float64 JSON round-trips."""
+set, and bit-exact float64 JSON round-trips through the line codec."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.serve import (
     ERROR_CODES,
@@ -13,6 +16,7 @@ from repro.serve import (
     ProtocolError,
     QueueFullError,
     ServiceClosedError,
+    decode_line,
     encode_line,
     error_response,
     ok_response,
@@ -136,6 +140,50 @@ def test_float64_survives_json_bit_exactly():
     assert back.dtype == np.float64
     assert np.array_equal(back, y)
     assert back.tobytes() == y.tobytes()
+
+
+EXTREMES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308,
+                     0.1 + 0.2, np.nextafter(1.0, 2.0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.integers(1, 48),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(EXTREMES)
+def test_codec_round_trips_every_finite_float64_bit_exactly(y):
+    """The response line written from the result array decodes to the
+    same bits with stdlib ``json`` (what plain clients use) and with
+    :func:`decode_line`; a stdlib ``json.dumps`` request line parses to
+    the same bits too."""
+    line = encode_line(ok_response("r", y=y, meta={"batch_width": 1}))
+    assert line.endswith(b"\n") and line.count(b"\n") == 1
+    for decode in (json.loads, decode_line):
+        back = np.asarray(decode(line)["y"], dtype=np.float64)
+        assert back.tobytes() == y.tobytes()
+    request = json.dumps(power_payload(x=y.tolist())).encode()
+    x = parse_request(decode_line(request)).x
+    assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("line", [
+    b"not json",
+    b'{"id": "r1", "op": "power", "x": [NaN]}',
+    b'{"id": "r1", "op": "power", "x": [1.0, -Infinity]}',
+    b'{"id": "r1", "op": "power", "x": [1e400]}',
+    b"\xff\xfe",
+])
+def test_decode_line_rejects_non_json_as_bad_request(line):
+    with pytest.raises(ProtocolError) as exc_info:
+        decode_line(line)
+    assert exc_info.value.code == "bad_request"
+    assert exc_info.value.message.startswith("invalid JSON")
+
+
+def test_non_finite_control_values_encode_as_null():
+    line = encode_line(ok_response("s", stats={"ratio": float("inf"),
+                                               "mean": float("nan")}))
+    assert json.loads(line)["stats"] == {"ratio": None, "mean": None}
 
 
 # -- spec ------------------------------------------------------------------

@@ -136,6 +136,34 @@ def test_malformed_json_line_keeps_connection_usable():
     run(main())
 
 
+def test_non_finite_literal_is_bad_request_and_keeps_connection():
+    """stdlib ``json.dumps`` writes ``NaN``/``Infinity`` for non-finite
+    floats, but they are not JSON: the line fails to decode, gets a
+    structured ``bad_request``, and the connection keeps serving."""
+    async def main():
+        server = make_server()
+        await server.start()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        x = np.ones(SPEC.rows)
+        for bad in (np.nan, np.inf):
+            x[3] = bad
+            await send_line(writer, power_req(0, x))
+            resp = await read_line(reader)
+            assert not resp["ok"]
+            assert resp["error"]["code"] == "bad_request"
+            assert "invalid JSON" in resp["error"]["message"]
+        x[3] = 1.0
+        await send_line(writer, power_req(1, x))
+        resp = await read_line(reader)
+        assert resp["ok"] and resp["id"] == "r1"
+        writer.close()
+        await writer.wait_closed()
+        await server.aclose()
+
+    run(main())
+
+
 def test_bad_request_gets_structured_error_with_id():
     async def main():
         server = make_server()

@@ -2,9 +2,11 @@
 """Concurrent NDJSON client for ``python -m repro serve``.
 
 Fires many ``power`` requests at a running solve server over one or
-more TCP connections *concurrently* (so they land inside the server's
-gather window and get batched), collects the responses, and reports
-the batching the server actually achieved.
+more TCP connections *concurrently* (so they queue while the server's
+operator is busy and get batched), collects the responses, and reports
+the batching the server actually achieved.  Lines go through the
+server's own codec (:func:`repro.serve.protocol.encode_line` and
+:func:`~repro.serve.protocol.decode_line`).
 
 With ``--verify``, every returned vector is compared **bitwise**
 against a locally computed reference (the default serial FBMPK
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import sys
 import time
 from pathlib import Path
@@ -33,6 +34,8 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.serve.protocol import decode_line, encode_line  # noqa: E402
 
 
 def make_x(n: int, seed: int) -> np.ndarray:
@@ -78,13 +81,13 @@ async def run_connection(host: str, port: int, requests: list,
     responses = {}
     try:
         for req in requests:
-            writer.write(json.dumps(req).encode() + b"\n")
+            writer.write(encode_line(req))
         await writer.drain()
         for _ in requests:
             line = await asyncio.wait_for(reader.readline(), timeout_s)
             if not line:
                 raise ConnectionError("server closed the connection")
-            resp = json.loads(line)
+            resp = decode_line(line)
             responses[resp.get("id")] = resp
     finally:
         writer.close()
@@ -114,7 +117,7 @@ async def amain(args) -> int:
     requests = [
         {"id": f"r{i}", "op": "power", "matrix": matrix, "k": args.k,
          "tenant": f"tenant{i % args.tenants}",
-         "x": make_x(args.rows, args.seed + i).tolist()}
+         "x": make_x(args.rows, args.seed + i)}
         for i in range(args.requests)
     ]
     if args.deadline_ms is not None:
@@ -165,8 +168,7 @@ async def amain(args) -> int:
 
     if args.shutdown:
         reader, writer = await connect(args.host, port, args.timeout)
-        writer.write(json.dumps({"id": "bye", "op": "shutdown"}).encode()
-                     + b"\n")
+        writer.write(encode_line({"id": "bye", "op": "shutdown"}))
         await writer.drain()
         await asyncio.wait_for(reader.readline(), args.timeout)
         writer.close()

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import sys
 import time
 from pathlib import Path
@@ -39,6 +38,8 @@ from typing import Any, Dict, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.serve.protocol import decode_line, encode_line  # noqa: E402
 
 
 def _fmt_ms(v: Optional[float]) -> str:
@@ -177,12 +178,12 @@ def render(stats: Dict[str, Any], health: Dict[str, Any],
 
 
 async def _poll(reader, writer, op: str, timeout_s: float) -> Dict[str, Any]:
-    writer.write(json.dumps({"id": op, "op": op}).encode() + b"\n")
+    writer.write(encode_line({"id": op, "op": op}))
     await writer.drain()
     line = await asyncio.wait_for(reader.readline(), timeout_s)
     if not line:
         raise ConnectionError("server closed the connection")
-    resp = json.loads(line)
+    resp = decode_line(line)
     if not resp.get("ok"):
         raise RuntimeError(f"{op} failed: {resp.get('error')}")
     return resp
